@@ -27,13 +27,14 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpuslib
 from .contrastive import (
     ContrastiveBatch,
     LossConfig,
+    MixtureWeights,
     NegativeGenConfig,
     curriculum_mixture,
     draw_negative_method,
@@ -126,38 +127,49 @@ class PipelineConfig:
     # evaluation
     train_fraction: float = 0.40
 
-    def grounding(self) -> GroundingConfig:
-        return GroundingConfig(
-            top_m_docs=self.top_m_docs,
-            keyword_threshold=self.keyword_threshold,
-            relaxed_keyword_threshold=self.relaxed_keyword_threshold,
-            k1=self.k1,
-            k2=self.k2,
-            k3=self.k3,
-            asr_min_words=self.asr_min_words,
-            stop_words=tuple(self.stop_words),
-        )
+    # Sub-configs, built once from the fields above so that an out-of-range
+    # value fails as BadConfig when the settings are merged, not mid-stage.
+    grounding: GroundingConfig = field(init=False, repr=False, compare=False)
+    pathmodel: PathModelConfig = field(init=False, repr=False, compare=False)
+    decode: DecodeConfig = field(init=False, repr=False, compare=False)
+    negatives: NegativeGenConfig = field(init=False, repr=False, compare=False)
+    loss: LossConfig = field(init=False, repr=False, compare=False)
+    mixture: MixtureWeights = field(init=False, repr=False, compare=False)
 
-    def pathmodel(self) -> PathModelConfig:
-        return PathModelConfig(order=self.order, smoothing_lambda=self.smoothing_lambda)
+    def __post_init__(self):
+        try:
+            self.grounding = GroundingConfig(
+                top_m_docs=self.top_m_docs,
+                keyword_threshold=self.keyword_threshold,
+                relaxed_keyword_threshold=self.relaxed_keyword_threshold,
+                k1=self.k1,
+                k2=self.k2,
+                k3=self.k3,
+                asr_min_words=self.asr_min_words,
+                stop_words=tuple(self.stop_words),
+            )
+            self.pathmodel = PathModelConfig(
+                order=self.order, smoothing_lambda=self.smoothing_lambda
+            )
+            self.decode = DecodeConfig(
+                beam_width=self.beam_width, max_steps=self.max_steps, separator=self.separator
+            )
+            self.negatives = NegativeGenConfig(
+                num_negatives=self.num_negatives,
+                max_shuffle_attempts=self.max_shuffle_attempts,
+                rng_seed=self.seed if self.seed is not None else 0,
+            )
+            self.loss = LossConfig(temperature=self.temperature, alpha=self.alpha)
+            self.mixture = curriculum_mixture(self.epoch)
+            if self.embedding_timeout <= 0:
+                raise ValueError("embedding_timeout must be positive")
+            if not 0.0 < self.train_fraction < 1.0:
+                raise ValueError("train_fraction must be strictly between 0 and 1")
+        except ValueError as exc:
+            raise BadConfig(f"invalid setting: {exc}") from None
 
-    def decode(self) -> DecodeConfig:
-        return DecodeConfig(
-            beam_width=self.beam_width, max_steps=self.max_steps, separator=self.separator
-        )
 
-    def negatives(self) -> NegativeGenConfig:
-        return NegativeGenConfig(
-            num_negatives=self.num_negatives,
-            max_shuffle_attempts=self.max_shuffle_attempts,
-            rng_seed=self.seed if self.seed is not None else 0,
-        )
-
-    def loss(self) -> LossConfig:
-        return LossConfig(temperature=self.temperature, alpha=self.alpha)
-
-
-_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.init}
 _INT_FIELDS = {
     "seed",
     "top_m_docs",
@@ -308,7 +320,7 @@ def cmd_library(cfg: PipelineConfig) -> int:
     task = _select_task(cfg)
     docs = load_candidate_docs(cfg.docs_path)
     provider = _provider(cfg, [title for title, _ in docs] + [task.task_name])
-    ranked = match_task_documents(task, docs, provider, cfg.grounding())
+    ranked = match_task_documents(task, docs, provider, cfg.grounding)
     library = corpuslib.build_step_library(task, ranked, top_m_docs=cfg.top_m_docs)
     path = _out_path(cfg, LIBRARY_FILE)
     corpuslib.save_library(library, path)
@@ -321,7 +333,7 @@ def cmd_ground(cfg: PipelineConfig) -> int:
     task = _select_task(cfg)
     library = corpuslib.load_library(_out_path(cfg, LIBRARY_FILE))
     records = [r for r in load_raw_records(cfg.corpus_path) if r.task_id == task.task_id]
-    gcfg = cfg.grounding()
+    gcfg = cfg.grounding
 
     corpus_texts = library.texts() + [task.task_name]
     for record in records:
@@ -370,7 +382,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     _require(cfg, "seed")
     library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
     sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
-    model = train_path_model(sequences, library, cfg.pathmodel())
+    model = train_path_model(sequences, library, cfg.pathmodel)
     path = _out_path(cfg, MODEL_FILE)
     save_model(model, path)
     print(f"wrote {path} ({len(model.counts)} contexts)")
@@ -383,11 +395,11 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
     model = load_model(_out_path(cfg, MODEL_FILE), library)
     provider = _provider(cfg, library.texts())
-    mixture = curriculum_mixture(cfg.epoch)
+    mixture = cfg.mixture
     rng = random.Random(f"{cfg.seed}:losses")
     valid_set = {tuple(seq.step_ids) for seq in sequences}
-    ncfg = cfg.negatives()
-    lcfg = cfg.loss()
+    ncfg = cfg.negatives
+    lcfg = cfg.loss
 
     generated = greedy_completion(model)
     rows = []
@@ -445,7 +457,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
     library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
     model = load_model(_out_path(cfg, MODEL_FILE), library)
     trie = build_prefix_trie(library)
-    results = constrained_beam_search(model, trie, cfg.decode())
+    results = constrained_beam_search(model, trie, cfg.decode)
     path = _out_path(cfg, DECODED_FILE)
     write_jsonl(decoded_to_rows(library.task_id, results), path)
     print(f"wrote {path} ({len(results)} paths)")
@@ -478,7 +490,7 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
     sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
-    model = train_path_model(split.train, library, cfg.pathmodel())
+    model = train_path_model(split.train, library, cfg.pathmodel)
 
     docs = library.doc_sequences
     systems = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import EmptyCorpus, EmptyStep, NoDocuments, UnknownStep
+from .errors import BadInput, EmptyCorpus, EmptyStep, NoDocuments, UnknownStep
 from .jsonio import read_json, read_jsonl, write_json
 
 # Kept candidates must differ by at least this normalized edit distance.
@@ -56,14 +56,22 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
+    for row in _edit_rows(a, b):
+        pass
+    return row[-1]
+
+
+def _edit_rows(a: Sequence, b: Sequence):
+    """Yield the rows of the edit-distance table of a against b, from row 0."""
     previous = list(range(len(b) + 1))
+    yield previous
     for i, x in enumerate(a, start=1):
         current = [i]
         for j, y in enumerate(b, start=1):
             cost = 0 if x == y else 1
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        yield current
         previous = current
-    return previous[-1]
 
 
 def normalized_levenshtein(a: Sequence, b: Sequence) -> float:
@@ -72,6 +80,37 @@ def normalized_levenshtein(a: Sequence, b: Sequence) -> float:
     if longest == 0:
         return 0.0
     return levenshtein(a, b) / longest
+
+
+def _max_near_duplicate_edits(longest: int) -> int:
+    """Largest edit count d with d / longest < DEDUP_DISTANCE, decided by that float comparison."""
+    edits = int(DEDUP_DISTANCE * longest)
+    while edits >= 0 and not edits / longest < DEDUP_DISTANCE:
+        edits -= 1
+    while (edits + 1) / longest < DEDUP_DISTANCE:
+        edits += 1
+    return edits
+
+
+def is_near_duplicate(a: Sequence, b: Sequence) -> bool:
+    """Exactly ``normalized_levenshtein(a, b) < DEDUP_DISTANCE``, decided early.
+
+    The edit distance is at least the length difference, and the smallest
+    entry of an edit-distance row never shrinks from one row to the next,
+    so a pair is rejected as soon as either exceeds the largest edit count
+    the threshold allows.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return True  # both empty: normalized distance 0.0
+    limit = _max_near_duplicate_edits(len(a))
+    if len(a) - len(b) > limit:
+        return False
+    for row in _edit_rows(a, b):
+        if min(row) > limit:
+            return False
+    return row[-1] <= limit
 
 
 def deduplicate_library(steps: Sequence[str]) -> list[str]:
@@ -91,7 +130,7 @@ def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]
     for step in steps:
         match = None
         for idx, existing in enumerate(kept):
-            if normalized_levenshtein(step, existing) < DEDUP_DISTANCE:
+            if is_near_duplicate(step, existing):
                 match = idx
                 break
         if match is None:
@@ -161,7 +200,7 @@ class StepLibrary:
         texts = self.texts()
         for i in range(len(texts)):
             for j in range(i + 1, len(texts)):
-                if normalized_levenshtein(texts[i], texts[j]) < DEDUP_DISTANCE:
+                if is_near_duplicate(texts[i], texts[j]):
                     raise ValueError(f"steps {i} and {j} are near-duplicates")
 
 
@@ -314,20 +353,45 @@ def _both_orders(pair: frozenset) -> list[tuple[int, int]]:
 # File formats
 
 
+def _parse_rows(path: str | Path, parse: Callable) -> list:
+    """parse() each JSONL row; a row it rejects raises BadInput naming path:line."""
+    parsed = []
+    for lineno, row in read_jsonl(path, numbered=True):
+        try:
+            parsed.append(parse(row))
+        except KeyError as exc:
+            raise BadInput(f"{path}:{lineno}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise BadInput(f"{path}:{lineno}: {exc}") from None
+    return parsed
+
+
+def _task(row) -> TaskSpec:
+    return TaskSpec(row["task_id"], row["task_name"], row.get("category"))
+
+
+def _candidate_doc(row) -> tuple[str, list[str]]:
+    steps = list(row["steps"])
+    if not isinstance(row["title"], str):
+        raise ValueError(f"document title must be a string: {row['title']!r}")
+    return row["title"], steps
+
+
+def _record(row) -> RawSequenceRecord:
+    items = [
+        SequenceItem(item["text"], item.get("start"), item.get("end")) for item in row["items"]
+    ]
+    record = RawSequenceRecord(row["video_id"], row["task_id"], row["kind"], items, row.get("title"))
+    record.validate()
+    return record
+
+
 def load_tasks(path: str | Path) -> list[TaskSpec]:
-    rows = read_jsonl(path)
-    return [TaskSpec(row["task_id"], row["task_name"], row.get("category")) for row in rows]
+    return _parse_rows(path, _task)
 
 
 def load_candidate_docs(path: str | Path) -> list[tuple[str, list[str]]]:
-    rows = read_jsonl(path)
-    docs = []
-    for row in rows:
-        steps = list(row["steps"])
-        if not isinstance(row["title"], str):
-            raise ValueError(f"document title must be a string: {row['title']!r}")
-        docs.append((row["title"], steps))
-    return docs
+    return _parse_rows(path, _candidate_doc)
 
 
 def load_raw_records(paths: str | Path | Sequence[str | Path]) -> list[RawSequenceRecord]:
@@ -340,16 +404,7 @@ def load_raw_records(paths: str | Path | Sequence[str | Path]) -> list[RawSequen
         paths = [paths]
     records: list[RawSequenceRecord] = []
     for path in sorted(paths, key=lambda p: str(p)):
-        for row in read_jsonl(path):
-            items = [
-                SequenceItem(item["text"], item.get("start"), item.get("end"))
-                for item in row["items"]
-            ]
-            record = RawSequenceRecord(
-                row["video_id"], row["task_id"], row["kind"], items, row.get("title")
-            )
-            record.validate()
-            records.append(record)
+        records.extend(_parse_rows(path, _record))
     return records
 
 

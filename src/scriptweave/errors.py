@@ -69,6 +69,10 @@ class BadConfig(ScriptweaveError):
     """Configuration file, flag, or environment override is invalid."""
 
 
+class BadInput(ScriptweaveError):
+    """An input file holds a line that is not valid JSON or not a valid row."""
+
+
 class MissingArtifact(ScriptweaveError):
     """A pipeline stage needs an artifact that has not been produced."""
 

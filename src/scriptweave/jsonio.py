@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import MissingArtifact
+from .errors import BadInput, MissingArtifact
 
 
 def write_json(obj, path: str | Path) -> None:
@@ -28,9 +28,26 @@ def write_jsonl(rows, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_jsonl(path: str | Path) -> list:
+def read_jsonl(path: str | Path, numbered: bool = False) -> list:
+    """Parse one JSON value per non-blank line.
+
+    With numbered=True each row comes as (line number, value), so callers
+    can name the line of a row they reject. A line that is not JSON raises
+    BadInput naming path:line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise MissingArtifact(f"missing artifact: {path}") from None
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path}: not UTF-8 text: {exc}") from None
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadInput(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        rows.append((lineno, row) if numbered else row)
+    return rows

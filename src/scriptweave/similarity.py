@@ -42,6 +42,13 @@ class TfidfSimilarity:
     least one token. embed() projects onto the fixed corpus vocabulary so
     vectors from different calls share one dimension; tokens outside the
     vocabulary contribute nothing there.
+
+    Per-text work is memoised for the life of the provider: each distinct
+    text is tokenised and weighted once, and its L2 norm and unit vector
+    are kept. Pair scores are computed from the memoised weights with the
+    same float operations as uncached scoring, so they are bit-identical
+    to it in any call order. Vectors returned by embed() are shared and
+    read-only. A provider serves one CLI stage, so the memo needs no bound.
     """
 
     def __init__(self, corpus_texts: Iterable[str]):
@@ -52,6 +59,8 @@ class TfidfSimilarity:
             df.update(set(tokens))
         self._df = dict(df)
         self._vocab = {token: i for i, token in enumerate(sorted(self._df))}
+        self._weighted: dict[str, tuple[dict[str, float], float]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
 
     def _idf(self, token: str) -> float:
         return math.log((1 + self._num_docs) / (1 + self._df.get(token, 0))) + 1.0
@@ -59,31 +68,41 @@ class TfidfSimilarity:
     def _weights(self, text: str) -> dict[str, float]:
         return {t: count * self._idf(t) for t, count in Counter(tokenize(text)).items()}
 
+    def _memo_weights(self, text: str) -> tuple[dict[str, float], float]:
+        weights = self._weights(text)
+        entry = (weights, math.sqrt(sum(w * w for w in weights.values())))
+        self._weighted[text] = entry
+        return entry
+
     def similarity(self, a: str, b: str) -> float:
-        wa = self._weights(a)
-        wb = self._weights(b)
+        wa, norm_a = self._weighted.get(a) or self._memo_weights(a)
+        wb, norm_b = self._weighted.get(b) or self._memo_weights(b)
         if not wa or not wb:
             return 0.0
         if wa == wb:
             return 1.0
         # Summing over sorted tokens keeps the result exactly symmetric.
         dot = sum(wa[t] * wb[t] for t in sorted(wa.keys() & wb.keys()))
-        norm_a = math.sqrt(sum(w * w for w in wa.values()))
-        norm_b = math.sqrt(sum(w * w for w in wb.values()))
         return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+
+    def _memo_vector(self, text: str) -> np.ndarray:
+        vec = np.zeros(len(self._vocab))
+        for token, count in Counter(tokenize(text)).items():
+            index = self._vocab.get(token)
+            if index is not None:
+                vec[index] = count * self._idf(token)
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec = vec / norm
+        vec.flags.writeable = False
+        self._vectors[text] = vec
+        return vec
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         vectors = []
         for text in texts:
-            vec = np.zeros(len(self._vocab))
-            for token, count in Counter(tokenize(text)).items():
-                index = self._vocab.get(token)
-                if index is not None:
-                    vec[index] = count * self._idf(token)
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-            vectors.append(vec)
+            vec = self._vectors.get(text)
+            vectors.append(vec if vec is not None else self._memo_vector(text))
         return vectors
 
 
@@ -93,15 +112,17 @@ class HttpEmbeddingProvider:
     POSTs {"texts": [...]} to {base_url}/embed and expects
     {"vectors": [[...], ...]} back. Any transport failure, timeout, or
     malformed payload raises EmbeddingServiceError; there is deliberately
-    no silent lexical fallback.
+    no silent lexical fallback. Vectors are kept per text for the life of
+    the provider, so each distinct text is sent at most once; a failed
+    request keeps nothing. Returned vectors are shared and read-only.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._vectors: dict[str, np.ndarray] = {}
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        texts = list(texts)
+    def _request(self, texts: list[str]) -> list[np.ndarray]:
         payload = json.dumps({"texts": texts}).encode("utf-8")
         request = urllib.request.Request(
             self.base_url + "/embed",
@@ -123,9 +144,20 @@ class HttpEmbeddingProvider:
             raise EmbeddingServiceError(
                 f"expected {len(texts)} vectors, got {len(vectors)}"
             )
-        if vectors and any(v.shape != vectors[0].shape for v in vectors):
+        # Cached and new vectors are compared with each other, so all share one dimension.
+        known = next(iter(self._vectors.values()), vectors[0])
+        if any(v.shape != known.shape for v in vectors):
             raise EmbeddingServiceError("embedding vectors have mismatched dimensions")
+        for vec in vectors:
+            vec.flags.writeable = False
         return vectors
+
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        texts = list(texts)
+        missing = [text for text in dict.fromkeys(texts) if text not in self._vectors]
+        if missing:
+            self._vectors.update(zip(missing, self._request(missing)))
+        return [self._vectors[text] for text in texts]
 
     def similarity(self, a: str, b: str) -> float:
         va, vb = self.embed([a, b])

@@ -387,3 +387,62 @@ class TestErrorReporting:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
+
+    @pytest.mark.parametrize(
+        "env, config, argv, key",
+        [
+            ({"SCRIPTWEAVE_K1": "2"}, "", ["ground"], "k1"),
+            ({}, "beam_width = 0\n", ["decode"], "beam_width"),
+            ({}, "order = 0\n", ["train"], "order"),
+            ({}, "temperature = 0\n", ["losses"], "temperature"),
+            ({}, "", ["losses", "--epoch", "-1"], "epoch"),
+            ({}, "", ["eval", "--split", "1.5"], "train_fraction"),
+            ({"SCRIPTWEAVE_EMBEDDING_TIMEOUT": "0"}, "", ["ground"], "embedding_timeout"),
+        ],
+    )
+    def test_out_of_range_setting_reports_bad_config(
+        self, workspace, monkeypatch, capsys, env, config, argv, key
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = workspace / "range.cfg"
+        cfg.write_text("seed = 7\n" + config, encoding="utf-8")
+        code = run_command(argv + ["--config", str(cfg), "--out-dir", str(workspace / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadConfig"
+        assert key in err["message"]
+
+    @pytest.mark.parametrize(
+        "corpus, where, fragment",
+        [
+            ('{"video_id": "v1", "task_id": "t1", "kind": "labelled", "items": [{"text": "stir"}]}'
+             '\nnot json\n', ":2:", "not valid JSON"),
+            ('{"video_id": "v1", "task_id": "t1", "kind": "labelled"}\n', ":1:", "'items'"),
+        ],
+    )
+    def test_malformed_corpus_reports_bad_input(self, workspace, capsys, corpus, where, fragment):
+        out = str(workspace / "out")
+        tasks = str(workspace / "tasks.jsonl")
+        assert run_command(["library", "--seed", "1", "--tasks", tasks,
+                            "--docs", str(workspace / "docs.jsonl"), "--out-dir", out]) == 0
+        bad = workspace / "bad.jsonl"
+        bad.write_text(corpus, encoding="utf-8")
+        capsys.readouterr()
+        code = run_command(["ground", "--seed", "1", "--tasks", tasks, "--corpus", str(bad),
+                            "--out-dir", out])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(f"{bad}{where}")
+        assert fragment in err["message"]
+
+    def test_non_json_docs_line_reports_bad_input(self, workspace, capsys):
+        docs = workspace / "docs.jsonl"
+        docs.write_text(docs.read_text(encoding="utf-8") + "{oops\n", encoding="utf-8")
+        code = run_command(["library", "--seed", "1", "--tasks", str(workspace / "tasks.jsonl"),
+                            "--docs", str(docs), "--out-dir", str(workspace / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(f"{docs}:{len(DOCS) + 1}:")

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptweave.corpus import (
+    DEDUP_DISTANCE,
     CorpusStats,
     RawSequenceRecord,
     SequenceItem,
@@ -15,6 +18,7 @@ from scriptweave.corpus import (
     corpus_statistics,
     deduplicate_library,
     deduplicate_with_mapping,
+    is_near_duplicate,
     levenshtein,
     library_from_json,
     library_to_json,
@@ -24,7 +28,7 @@ from scriptweave.corpus import (
     normalize_step,
     normalized_levenshtein,
 )
-from scriptweave.errors import EmptyCorpus, EmptyStep, NoDocuments
+from scriptweave.errors import BadInput, EmptyCorpus, EmptyStep, NoDocuments
 from scriptweave.grounding import GroundedSequence
 
 
@@ -120,6 +124,42 @@ class TestDeduplicate:
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert normalized_levenshtein(kept[i], kept[j]) >= 0.1
+
+
+@st.composite
+def _near_miss_pair(draw):
+    """A text and a copy of it with a few random single-character edits."""
+    a = draw(st.text(alphabet="ab c", max_size=32))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 5))):
+        pos = draw(st.integers(0, len(b)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            b.insert(pos, draw(st.sampled_from("abcd ")))
+        elif pos < len(b):
+            if op == "delete":
+                del b[pos]
+            else:
+                b[pos] = draw(st.sampled_from("abcd "))
+    return a, "".join(b)
+
+
+class TestNearDuplicate:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_near_miss_pair())
+    def test_matches_normalized_levenshtein(self, pair):
+        a, b = pair
+        expected = normalized_levenshtein(a, b) < DEDUP_DISTANCE
+        assert is_near_duplicate(a, b) == expected
+        assert is_near_duplicate(b, a) == expected
+
+    def test_threshold_at_every_length(self):
+        for n in range(1, 61):
+            for k in range(min(n, 8) + 1):
+                a, b = "a" * n, "b" * k + "a" * (n - k)
+                assert is_near_duplicate(a, b) == (
+                    normalized_levenshtein(a, b) < DEDUP_DISTANCE
+                ), (n, k)
 
 
 class TestBuildStepLibrary:
@@ -291,3 +331,30 @@ class TestFileFormats:
         (tmp_path / "a.jsonl").write_text(row.format(v="from-a"))
         loaded = load_raw_records([tmp_path / "b.jsonl", tmp_path / "a.jsonl"])
         assert [r.video_id for r in loaded] == ["from-a", "from-b"]
+
+    @pytest.mark.parametrize(
+        "loader, text, where, fragment",
+        [
+            (load_tasks, '\n{"task_id": "t1", "task_name": "x"}\n{"task_id": "t2"\n', ":3:",
+             "not valid JSON"),
+            (load_tasks, '{"task_id": "t1"}\n', ":1:", "'task_name'"),
+            (load_tasks, '["t1", "x"]\n', ":1:", ""),
+            (load_candidate_docs, '{"title": 3, "steps": []}\n', ":1:", "title"),
+            (load_candidate_docs, '{"steps": ["mix"]}\n', ":1:", "'title'"),
+            (load_raw_records, '{"video_id": "v", "task_id": "t", "kind": "asr"}\n', ":1:",
+             "'items'"),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": "t", "kind": "asr", "items": ["x"]}\n', ":1:", ""),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": "t", "kind": "vlog", "items": [{"text": "x"}]}\n',
+             ":1:", "kind"),
+        ],
+    )
+    def test_malformed_rows_raise_bad_input_with_line(self, tmp_path, loader, text, where,
+                                                      fragment):
+        path = tmp_path / "input.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(BadInput) as raised:
+            loader(path)
+        assert str(raised.value).startswith(f"{path}{where}")
+        assert fragment in str(raised.value)

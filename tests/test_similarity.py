@@ -10,6 +10,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptweave.errors import EmbeddingServiceError
 from scriptweave.similarity import HttpEmbeddingProvider, TfidfSimilarity, tokenize
@@ -43,6 +45,20 @@ def naive_cosine(corpus, a, b):
     na = math.sqrt(sum(w * w for w in wa.values()))
     nb = math.sqrt(sum(w * w for w in wb.values()))
     return dot / (na * nb)
+
+
+def uncached_similarity(corpus, a, b):
+    """The scoring arithmetic with nothing kept between calls: the bit-exact reference."""
+    provider = TfidfSimilarity(corpus)
+    wa, wb = provider._weights(a), provider._weights(b)
+    if not wa or not wb:
+        return 0.0
+    if wa == wb:
+        return 1.0
+    dot = sum(wa[t] * wb[t] for t in sorted(wa.keys() & wb.keys()))
+    norm_a = math.sqrt(sum(w * w for w in wa.values()))
+    norm_b = math.sqrt(sum(w * w for w in wb.values()))
+    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
 
 class TestTokenize:
@@ -152,10 +168,49 @@ class TestTfidfEmbed:
             assert cos == pytest.approx(provider.similarity(a, b), abs=1e-12)
 
 
+# In-vocabulary words, out-of-vocabulary words and punctuation, so generated
+# texts include empty, punctuation-only, repeated-token and OOV-only texts.
+_TEXTS = st.lists(
+    st.sampled_from(["the", "sugar", "stir", "lemons", "cold", "zzqx", "widget", "...", "!", ""]),
+    max_size=6,
+).map(" ".join)
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("similarity"), st.tuples(_TEXTS, _TEXTS)),
+        st.tuples(st.just("embed"), st.lists(_TEXTS, max_size=4)),
+    ),
+    max_size=12,
+)
+
+
+class TestTfidfMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(calls=_CALLS)
+    def test_long_lived_provider_matches_fresh_provider(self, calls):
+        provider = TfidfSimilarity(CORPUS)
+        for method, args in calls:
+            fresh = TfidfSimilarity(CORPUS)
+            if method == "similarity":
+                got, want = provider.similarity(*args), fresh.similarity(*args)
+                assert got.hex() == want.hex() == uncached_similarity(CORPUS, *args).hex()
+            else:
+                got, want = provider.embed(args), fresh.embed(args)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_embedded_vectors_are_read_only(self):
+        provider = TfidfSimilarity(CORPUS)
+        (vec,) = provider.embed(["add the sugar"])
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+        (again,) = provider.embed(["add the sugar"])
+        assert again is vec
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Embeds each text as [len(tokens), sum of token lengths]."""
 
     mode = "ok"
+    received: list[str] = []
 
     def do_POST(self):
         if self.path != "/embed":
@@ -163,6 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         length = int(self.headers["Content-Length"])
         texts = json.loads(self.rfile.read(length))["texts"]
+        _Handler.received.extend(texts)
         if self.mode == "slow":
             time.sleep(1.5)
         if self.mode == "garbage":
@@ -173,6 +229,8 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.dumps({"vectors": [[1.0, 2.0], [1.0]][: len(texts)]}).encode()
         elif self.mode == "missing_key":
             body = json.dumps({"embeddings": []}).encode()
+        elif self.mode == "wider":
+            body = json.dumps({"vectors": [[1.0, 2.0, 3.0] for _ in texts]}).encode()
         else:
             vectors = [
                 [float(len(tokenize(t))), float(sum(len(w) for w in tokenize(t)))] for t in texts
@@ -194,6 +252,7 @@ def embed_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.mode = "ok"
+    _Handler.received = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join(timeout=2)
@@ -243,3 +302,38 @@ class TestHttpEmbeddingProvider:
         _Handler.mode = "ragged"
         with pytest.raises(EmbeddingServiceError):
             HttpEmbeddingProvider(embed_server).embed(["x", "y"])
+
+    def test_each_distinct_text_is_sent_once(self, embed_server):
+        provider = HttpEmbeddingProvider(embed_server)
+        queries = ["add sugar", "stir it", "add sugar"]
+        keys = ["add sugar", "mix it well", "serve", "stir"]
+        scores = [[provider.similarity(q, k) for k in keys] for q in queries]
+        assert len(_Handler.received) <= 7
+        assert sorted(_Handler.received) == sorted(set(queries) | set(keys))
+        fresh = [[HttpEmbeddingProvider(embed_server).similarity(q, k) for k in keys]
+                 for q in queries]
+        assert scores == fresh
+
+    def test_failed_request_caches_nothing(self, embed_server):
+        provider = HttpEmbeddingProvider(embed_server)
+        _Handler.mode = "garbage"
+        with pytest.raises(EmbeddingServiceError):
+            provider.similarity("add sugar", "stir")
+        _Handler.mode = "ok"
+        _Handler.received = []
+        assert provider.similarity("add sugar", "stir") == pytest.approx(
+            HttpEmbeddingProvider(embed_server).similarity("add sugar", "stir")
+        )
+        assert _Handler.received[:2] == ["add sugar", "stir"]
+
+    def test_dimension_change_between_requests_is_a_hard_error(self, embed_server):
+        provider = HttpEmbeddingProvider(embed_server)
+        provider.embed(["add sugar"])
+        _Handler.mode = "wider"
+        with pytest.raises(EmbeddingServiceError):
+            provider.similarity("add sugar", "stir")
+
+    def test_embedded_vectors_are_read_only(self, embed_server):
+        (vec,) = HttpEmbeddingProvider(embed_server).embed(["add sugar"])
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
