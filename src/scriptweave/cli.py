@@ -122,7 +122,6 @@ class PipelineConfig:
     # decoding / graph
     beam_width: int = 40
     max_steps: int | None = None
-    separator: str = "<->"
     prune_threshold: float = 0.175
     # evaluation
     train_fraction: float = 0.40
@@ -151,9 +150,7 @@ class PipelineConfig:
             self.pathmodel = PathModelConfig(
                 order=self.order, smoothing_lambda=self.smoothing_lambda
             )
-            self.decode = DecodeConfig(
-                beam_width=self.beam_width, max_steps=self.max_steps, separator=self.separator
-            )
+            self.decode = DecodeConfig(beam_width=self.beam_width, max_steps=self.max_steps)
             self.negatives = NegativeGenConfig(
                 num_negatives=self.num_negatives,
                 max_shuffle_attempts=self.max_shuffle_attempts,

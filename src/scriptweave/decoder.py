@@ -1,31 +1,27 @@
 """Step-constrained decoding over the path model.
 
-A prefix trie over the whitespace tokens of every library step pins the
-surface forms a decoder may emit: token by token, the only legal
-continuations are edges of the trie, and a step boundary is only legal at
-a node where a library step actually ends. Scoring happens at step
-granularity through the path model, so beam items carry step id
+The decoder works at step granularity: every emitted unit is a whole
+library step, so each decoded path is a sequence of library step ids and
+nothing outside the library can appear. Beam items carry step id
 sequences and their accumulated log probability.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import StepLibrary
 from .errors import EmptyLibrary, NoCompletion
-from .pathmodel import END, PathModel, next_step_distribution
-
-END_TOKEN = "<eos>"
+# next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
+from .pathmodel import PathModel, next_step_distribution  # noqa: F401
 
 
 @dataclass
 class DecodeConfig:
     beam_width: int = 40
     max_steps: int | None = None  # None: twice the library size
-    separator: str = "<->"
-    keep_duplicates: bool = False
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -34,59 +30,22 @@ class DecodeConfig:
             raise ValueError("max_steps must be non-negative")
 
 
-@dataclass
-class TrieNode:
-    children: dict[str, "TrieNode"] = field(default_factory=dict)
-    step_id: int | None = None  # set on nodes where a full step ends
-
-
 class PrefixTrie:
-    """Token trie over the normalized texts of a step library."""
+    """The step inventory a decoder may emit: one library, one step per text."""
 
     def __init__(self, library: StepLibrary):
         if not library.steps:
             raise EmptyLibrary("cannot build a trie over an empty library")
-        self.library = library
-        self.root = TrieNode()
-        self._token_paths: dict[int, tuple[str, ...]] = {}
+        owners: dict[tuple[str, ...], int] = {}
         for step in library.steps:
             tokens = tuple(step.normalized_text.split())
-            node = self.root
-            for token in tokens:
-                node = node.children.setdefault(token, TrieNode())
-            if node.step_id is not None:
+            if tokens in owners:
                 raise ValueError(
-                    f"steps {node.step_id} and {step.step_id} share the token "
+                    f"steps {owners[tokens]} and {step.step_id} share the token "
                     f"sequence {' '.join(tokens)!r}"
                 )
-            node.step_id = step.step_id
-            self._token_paths[step.step_id] = tokens
-
-    def token_path(self, step_id: int) -> tuple[str, ...]:
-        return self._token_paths[step_id]
-
-    def lookup(self, tokens) -> TrieNode | None:
-        node = self.root
-        for token in tokens:
-            node = node.children.get(token)
-            if node is None:
-                return None
-        return node
-
-    def allowed_tokens(self, tokens) -> set[str]:
-        """Legal next tokens after a token prefix.
-
-        Includes END_TOKEN when the prefix is exactly a full step, which
-        is the explicit end marker separating a step from any longer step
-        sharing its tokens as a prefix.
-        """
-        node = self.lookup(tokens)
-        if node is None:
-            return set()
-        allowed = set(node.children)
-        if node.step_id is not None:
-            allowed.add(END_TOKEN)
-        return allowed
+            owners[tokens] = step.step_id
+        self.library = library
 
 
 def build_prefix_trie(library: StepLibrary) -> PrefixTrie:
@@ -103,47 +62,50 @@ def constrained_beam_search(
     END; its score is the raw accumulated log probability, the negation
     of sequence_nll for that path. Raises NoCompletion when nothing
     reaches END within max_steps.
+
+    Each depth expands the whole beam at once: one log-prob row per item
+    plus its prefix score, with used steps and zero-probability moves
+    masked out. Active sequences are distinct and equally long, so the
+    (-score, sequence) order of children is (-score, parent's rank in
+    sequence order, next step id).
     """
     cfg = cfg or DecodeConfig()
     if trie.library.texts() != model.library.texts():
         raise ValueError("trie and model were built over different libraries")
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(model.library.steps)
+    n_steps = len(model.library.steps)
+    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * n_steps
 
-    active: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    seqs: list[tuple[int, ...]] = [()]
+    scores = np.zeros(1)
+    used = np.zeros((1, n_steps), dtype=bool)
     finished: list[tuple[tuple[int, ...], float]] = []
     for depth in range(max_steps + 1):
-        if not active:
+        if not seqs:
             break
-        expanded: list[tuple[tuple[int, ...], float]] = []
-        for seq, logprob in active:
-            dist = next_step_distribution(model, list(seq))
-            for nxt in sorted(dist):
-                prob = dist[nxt]
-                if prob <= 0.0:
-                    continue
-                if nxt == END:
-                    finished.append((seq, logprob + math.log(prob)))
-                elif nxt not in seq and depth < max_steps:
-                    expanded.append((seq + (nxt,), logprob + math.log(prob)))
-        expanded.sort(key=lambda item: (-item[1], item[0]))
-        active = expanded[: cfg.beam_width]
+        totals = scores[:, None] + np.stack([model.rows(seq)[1] for seq in seqs])
+        ends = totals[:, n_steps].tolist()
+        finished.extend((seq, end) for seq, end in zip(seqs, ends) if end != -np.inf)
+        finished.sort(key=lambda item: (-item[1], item[0]))
+        del finished[cfg.beam_width :]
+        if depth == max_steps:
+            break
+
+        steps = totals[:, :n_steps]
+        steps[used] = -np.inf
+        parents, nexts = np.nonzero(steps != -np.inf)
+        rank = np.empty(len(seqs), dtype=np.int64)
+        rank[sorted(range(len(seqs)), key=seqs.__getitem__)] = np.arange(len(seqs))
+        values = steps[parents, nexts]
+        keep = np.lexsort((nexts, rank[parents], -values))[: cfg.beam_width]
+        parents, nexts = parents[keep], nexts[keep]
+        seqs = [seqs[p] + (n,) for p, n in zip(parents.tolist(), nexts.tolist())]
+        scores = values[keep]
+        used = used[parents]
+        used[np.arange(len(seqs)), nexts] = True
 
     if not finished:
         raise NoCompletion(f"no path reached END within {max_steps} steps")
-    if not cfg.keep_duplicates:
-        best: dict[tuple[int, ...], float] = {}
-        for seq, logprob in finished:
-            if seq not in best or logprob > best[seq]:
-                best[seq] = logprob
-        finished = list(best.items())
-    finished.sort(key=lambda item: (-item[1], item[0]))
-    return [(list(seq), logprob) for seq, logprob in finished[: cfg.beam_width]]
-
-
-def render_path(library: StepLibrary, step_ids, separator: str = "<->") -> str:
-    """Human-readable surface form: each step text followed by the separator."""
-    parts = [library.steps[step_id].normalized_text + " " + separator for step_id in step_ids]
-    return " ".join(parts)
+    return [(list(seq), logprob) for seq, logprob in finished]
 
 
 def decoded_to_rows(task_id: str, results) -> list[dict]:

@@ -18,10 +18,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import StepLibrary, levenshtein
 from .errors import LengthMismatch, MissingLinearData, TooFewSequences
 from .grounding import GroundedSequence
-from .pathmodel import END, PathModel, next_step_distribution
+# next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
+from .pathmodel import PathModel, check_steps, next_step_distribution  # noqa: F401
 
 
 @dataclass
@@ -232,14 +235,18 @@ def _linear_completion(prefix, remaining, docs) -> list[int] | None:
 
 
 def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
-    """Rank unused library steps by model probability for each example."""
+    """Rank unused library steps by model probability for each example.
+
+    Ties go to the lowest step id.
+    """
+    n_steps = len(model.library.steps)
     predictions = []
     for example in split.test_examples:
-        dist = next_step_distribution(model, list(example.prefix))
+        check_steps(example.prefix, model.library)
+        prob = model.rows(example.prefix)[0][:n_steps]
         used = set(example.prefix)
-        candidates = [step_id for step_id in dist if step_id != END and step_id not in used]
-        candidates.sort(key=lambda step_id: (-dist[step_id], step_id))
-        predictions.append(candidates)
+        ranked = np.argsort(-prob, kind="stable").tolist()
+        predictions.append([step_id for step_id in ranked if step_id not in used])
     return predictions
 
 
@@ -251,23 +258,23 @@ def greedy_completion(
     Ties go to END first, then the lowest step id, so the result is
     deterministic. Returns only the continuation, without the prefix.
     """
-    cap = max_steps if max_steps is not None else 2 * len(model.library.steps)
+    n_steps = len(model.library.steps)
+    cap = max_steps if max_steps is not None else 2 * n_steps
     sequence = list(prefix)
-    completion: list[int] = []
+    check_steps(sequence, model.library)
+    start = len(sequence)
+    used = np.zeros(n_steps, dtype=bool)
+    used[sequence] = True
     for _ in range(cap):
-        dist = next_step_distribution(model, sequence)
-        choices = [
-            (step_id, prob)
-            for step_id, prob in dist.items()
-            if step_id == END or step_id not in sequence
-        ]
-        choices.sort(key=lambda item: (-item[1], item[0]))
-        nxt = choices[0][0]
-        if nxt == END:
+        prob = model.rows(sequence)[0]
+        # First maximum over [END, 0..V-1], so ties go to END; used steps score -1.
+        scores = np.concatenate((prob[n_steps:], np.where(used, -1.0, prob[:n_steps])))
+        nxt = int(scores.argmax()) - 1
+        if nxt < 0:
             break
         sequence.append(nxt)
-        completion.append(nxt)
-    return completion
+        used[nxt] = True
+    return sequence[start:]
 
 
 def model_complete(

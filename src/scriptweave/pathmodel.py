@@ -5,14 +5,21 @@ the model scores complete paths. Unseen higher-order contexts back off to
 lower orders; additive smoothing keeps every next step possible when
 smoothing_lambda > 0. With smoothing_lambda == 0 the model is the plain
 empirical estimator and unseen transitions have probability zero.
+
+Every consumer reads PathModel.rows: the probability and log-probability
+rows over [0..V-1, END] of a prefix's effective context, built once per
+context with the float expressions and math.log of a per-transition
+computation, so every value is bit-identical to scoring one transition.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import StepLibrary
 from .errors import EmptyCorpus, UnknownStep
@@ -40,11 +47,22 @@ class PathModel:
     config: PathModelConfig
     counts: dict[tuple[int, ...], Counter]
     totals: dict[tuple[int, ...], int]
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def vocabulary_size(self) -> int:
         # Next-token support: every library step plus END.
         return len(self.library.steps) + 1
+
+    def rows(self, prefix: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Shared read-only probability and log-probability rows after a
+        prefix of valid step ids: column i is step i, column V is END, and a
+        zero probability has log probability -inf."""
+        ctx = _effective_context(self, prefix)
+        rows = self._rows.get(ctx)
+        if rows is None:
+            rows = self._rows[ctx] = _context_rows(self, ctx)
+        return rows
 
 
 def train_path_model(
@@ -58,7 +76,7 @@ def train_path_model(
     counts: dict[tuple[int, ...], Counter] = defaultdict(Counter)
     for seq in sequences:
         step_ids = list(seq.step_ids)
-        _check_steps(step_ids, library)
+        check_steps(step_ids, library)
         tokens = [START] * cfg.order + step_ids + [END]
         for pos in range(cfg.order, len(tokens)):
             nxt = tokens[pos]
@@ -74,10 +92,10 @@ def next_step_distribution(model: PathModel, prefix: Sequence[int]) -> dict[int,
     The returned dict covers all library step ids plus END and sums to 1.
     """
     prefix = list(prefix)
-    _check_steps(prefix, model.library)
-    ctx = _effective_context(model, prefix)
+    check_steps(prefix, model.library)
+    prob, _ = model.rows(prefix)
     support = [step.step_id for step in model.library.steps] + [END]
-    return {nxt: _transition_prob(model, ctx, nxt) for nxt in support}
+    return dict(zip(support, prob.tolist()))
 
 
 def sequence_nll(model: PathModel, step_ids: Sequence[int]) -> float:
@@ -86,46 +104,54 @@ def sequence_nll(model: PathModel, step_ids: Sequence[int]) -> float:
     Returns math.inf when an unsmoothed model assigns probability zero.
     """
     step_ids = list(step_ids)
-    _check_steps(step_ids, model.library)
+    check_steps(step_ids, model.library)
+    end = len(model.library.steps)
     nll = 0.0
-    prefix: list[int] = []
-    for nxt in step_ids + [END]:
-        prob = _transition_prob(model, _effective_context(model, prefix), nxt)
-        if prob <= 0.0:
+    for i, column in enumerate(step_ids + [end]):
+        logprob = model.rows(step_ids[:i])[1].item(column)
+        if logprob == -math.inf:
             return math.inf
-        nll -= math.log(prob)
-        if nxt != END:
-            prefix.append(nxt)
+        nll -= logprob
     return nll
 
 
-def _check_steps(step_ids: Sequence[int], library: StepLibrary) -> None:
+def check_steps(step_ids: Sequence[int], library: StepLibrary) -> None:
+    """Raise UnknownStep for the first id that is not a step of the library."""
     for step_id in step_ids:
         if not library.has(step_id):
             raise UnknownStep(f"step id {step_id} not in library for task {library.task_id!r}")
 
 
-def _effective_context(model: PathModel, prefix: list[int]) -> tuple[int, ...]:
+def _effective_context(model: PathModel, prefix: Sequence[int]) -> tuple[int, ...]:
     # Highest order whose context was observed; order 1 is the floor even
     # when unseen, where smoothing alone decides the distribution.
-    tokens = [START] * model.config.order + prefix
-    for k in range(model.config.order, 1, -1):
-        ctx = tuple(tokens[len(tokens) - k :])
+    order = model.config.order
+    tail = ((START,) * order + tuple(prefix[-order:]))[-order:]
+    for k in range(order, 1, -1):
+        ctx = tail[-k:]
         if model.totals.get(ctx, 0) > 0:
             return ctx
-    return tuple(tokens[len(tokens) - 1 :])
+    return tail[-1:]
 
 
-def _transition_prob(model: PathModel, ctx: tuple[int, ...], nxt: int) -> float:
+def _context_rows(model: PathModel, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # Elementwise, the same IEEE operations as scoring one transition:
+    # (count + lam) / (total + lam * V1), count / total, or 1 / V1.
+    size = model.vocabulary_size
     lam = model.config.smoothing_lambda
     total = model.totals.get(ctx, 0)
-    counter = model.counts.get(ctx)
-    count = counter[nxt] if counter is not None else 0
+    counts = np.zeros(size)
+    for nxt, count in model.counts.get(ctx, {}).items():
+        counts[size - 1 if nxt == END else nxt] = count
     if lam == 0.0:
-        if total == 0:
-            return 1.0 / model.vocabulary_size
-        return count / total
-    return (count + lam) / (total + lam * model.vocabulary_size)
+        prob = np.full(size, 1.0 / size) if total == 0 else counts / total
+    else:
+        prob = (counts + lam) / (total + lam * size)
+    # math.log, not np.log, whose last bit may differ.
+    logprob = np.array([math.log(p) if p > 0.0 else -math.inf for p in prob.tolist()])
+    prob.flags.writeable = False
+    logprob.flags.writeable = False
+    return prob, logprob
 
 
 def model_to_json(model: PathModel) -> dict:
@@ -144,10 +170,14 @@ def model_to_json(model: PathModel) -> dict:
 
 
 def model_from_json(data: dict, library: StepLibrary) -> PathModel:
+    """Rebuild a model; START outside a context, END outside the next steps,
+    or any other id not in the library is UnknownStep."""
     cfg = PathModelConfig(order=int(data["order"]), smoothing_lambda=float(data["lambda"]))
     counts: dict[tuple[int, ...], Counter] = {}
     for entry in data["contexts"]:
         ctx = tuple(int(t) for t in entry["ctx"])
+        check_steps([t for t in ctx if t != START], library)
+        check_steps([int(key) for key in entry["counts"] if key != "END"], library)
         counter: Counter = Counter()
         for key, value in entry["counts"].items():
             counter[END if key == "END" else int(key)] = int(value)

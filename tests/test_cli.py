@@ -311,8 +311,8 @@ class TestConfigFileParsing:
 
     def test_bare_words_stay_strings(self, tmp_path):
         path = tmp_path / "s.cfg"
-        path.write_text("separator = -->\ntask = t1\n")
-        assert read_config_file(path) == {"separator": "-->", "task": "t1"}
+        path.write_text("out_dir = runs/-->\ntask = t1\n")
+        assert read_config_file(path) == {"out_dir": "runs/-->", "task": "t1"}
 
     def test_dashes_map_to_underscores(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -436,6 +436,29 @@ class TestErrorReporting:
         assert err["error"] == "BadInput"
         assert err["message"].startswith(f"{bad}{where}")
         assert fragment in err["message"]
+
+    @pytest.mark.parametrize("stage", ["decode", "losses"])
+    def test_model_for_another_library_reports_unknown_step(self, workspace, capsys, stage):
+        out = workspace / "out"
+        cfg = str(workspace / "settings.cfg")
+        tasks = str(workspace / "tasks.jsonl")
+        for argv in (
+            ["library", "--tasks", tasks, "--docs", str(workspace / "docs.jsonl")],
+            ["ground", "--tasks", tasks, "--corpus", str(workspace / "corpus.jsonl")],
+            ["train"],
+        ):
+            assert run_command(argv + ["--config", cfg, "--out-dir", str(out)]) == 0
+        # A model trained over a larger library: its ids run past this one's.
+        n_steps = len(load_library(out / GROUNDED_LIBRARY_FILE).steps)
+        model = json.loads((out / MODEL_FILE).read_text(encoding="utf-8"))
+        model["contexts"].append({"ctx": [n_steps], "counts": {"END": 1}})
+        (out / MODEL_FILE).write_text(json.dumps(model), encoding="utf-8")
+        capsys.readouterr()
+        code = run_command([stage, "--config", cfg, "--out-dir", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UnknownStep"
+        assert f"step id {n_steps} " in err["message"]
 
     def test_non_json_docs_line_reports_bad_input(self, workspace, capsys):
         docs = workspace / "docs.jsonl"

@@ -1,4 +1,4 @@
-"""Prefix trie and step-constrained beam search."""
+"""Step inventory checks and step-constrained beam search."""
 
 import math
 
@@ -6,12 +6,10 @@ import pytest
 
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.decoder import (
-    END_TOKEN,
     DecodeConfig,
     build_prefix_trie,
     constrained_beam_search,
     decoded_to_rows,
-    render_path,
     rows_to_decoded,
 )
 from scriptweave.errors import EmptyLibrary, NoCompletion
@@ -27,35 +25,7 @@ def make_library(texts, task_id="t1"):
     return StepLibrary(task_id, [Step(i, t, t) for i, t in enumerate(texts)])
 
 
-LIB = make_library(["boil water", "boil water slowly", "add pasta", "serve"])
-
-
 class TestPrefixTrie:
-    def test_token_paths(self):
-        trie = build_prefix_trie(LIB)
-        assert trie.token_path(0) == ("boil", "water")
-        assert trie.token_path(2) == ("add", "pasta")
-
-    def test_allowed_tokens_at_root(self):
-        trie = build_prefix_trie(LIB)
-        assert trie.allowed_tokens(()) == {"boil", "add", "serve"}
-
-    def test_end_token_marks_complete_steps(self):
-        trie = build_prefix_trie(LIB)
-        # "boil water" is both a full step and a prefix of a longer one
-        assert trie.allowed_tokens(("boil", "water")) == {"slowly", END_TOKEN}
-        assert trie.allowed_tokens(("boil", "water", "slowly")) == {END_TOKEN}
-        assert trie.allowed_tokens(("boil",)) == {"water"}
-
-    def test_unknown_prefix_has_no_continuations(self):
-        trie = build_prefix_trie(LIB)
-        assert trie.allowed_tokens(("chop",)) == set()
-
-    def test_lookup_finds_step_ids(self):
-        trie = build_prefix_trie(LIB)
-        assert trie.lookup(("serve",)).step_id == 3
-        assert trie.lookup(("boil",)).step_id is None
-
     def test_duplicate_token_sequences_rejected(self):
         with pytest.raises(ValueError):
             build_prefix_trie(make_library(["mix it", "mix it"]))
@@ -109,18 +79,6 @@ class TestBeamSearch:
         paths = [tuple(steps) for steps, _ in results]
         assert len(paths) == len(set(paths))
 
-    def test_keep_duplicates_changes_nothing_for_markov_scores(self):
-        # each path has a single score under the model, so deduplication
-        # only ever removes exact (path, score) repeats
-        model, trie = self.chain_model()
-        kept = constrained_beam_search(
-            model, trie, DecodeConfig(beam_width=40, keep_duplicates=True)
-        )
-        deduped = constrained_beam_search(model, trie, DecodeConfig(beam_width=40))
-        assert {(tuple(s), round(lp, 12)) for s, lp in kept} == {
-            (tuple(s), round(lp, 12)) for s, lp in deduped
-        }
-
     def test_unsmoothed_model_only_decodes_observed_paths(self):
         model, trie = self.chain_model(lam=0.0)
         results = constrained_beam_search(model, trie, DecodeConfig(beam_width=40))
@@ -153,19 +111,6 @@ class TestBeamSearch:
             DecodeConfig(beam_width=0)
         with pytest.raises(ValueError):
             DecodeConfig(max_steps=-1)
-
-
-class TestRenderPath:
-    def test_separator_follows_every_step(self):
-        library = make_library(["boil water", "serve"])
-        assert render_path(library, [0, 1]) == "boil water <-> serve <->"
-
-    def test_custom_separator(self):
-        library = make_library(["a", "b"])
-        assert render_path(library, [0, 1], separator="|") == "a | b |"
-
-    def test_empty_path_renders_empty(self):
-        assert render_path(make_library(["a"]), []) == ""
 
 
 class TestDecodedRows:

@@ -197,6 +197,23 @@ class TestJsonRoundtrip:
                 model, prefix
             )
 
+    @pytest.mark.parametrize(
+        "ctx, key, bad",
+        [
+            ([0, 5], "1", 5),  # context step beyond the library
+            ([START, 0], "7", 7),  # next step beyond the library
+            ([-3], "1", -3),  # negative id that is no sentinel
+            ([END], "1", END),  # END only as a next step
+            ([0], str(START), START),  # START only in a context
+            ([0], str(END), END),  # END as a next step is spelled "END"
+        ],
+    )
+    def test_ids_outside_the_library_rejected(self, ctx, key, bad):
+        data = model_to_json(train([[0, 1]], n_steps=2))
+        data["contexts"].append({"ctx": ctx, "counts": {key: 1}})
+        with pytest.raises(UnknownStep, match=f"step id {bad} "):
+            model_from_json(data, make_library(2))
+
     def test_save_and_load(self, tmp_path):
         library = make_library(2)
         model = train_path_model([Seq([0, 1])], library, PathModelConfig(2, 0.5))
