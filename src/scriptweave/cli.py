@@ -17,6 +17,10 @@ Settings merge with increasing precedence: built-in defaults, then a
 strings, full-line # comments allowed), then SCRIPTWEAVE_* environment
 variables, then command-line flags. A seed is required; given the same
 inputs, settings, and seed every artifact is byte-identical across runs.
+
+Each stage runs as its own process, so numpy and the HTTP client are
+imported inside the functions that use them: a stage loads only what it
+computes with.
 """
 
 from __future__ import annotations
@@ -399,13 +403,12 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     lcfg = cfg.loss
 
     generated = greedy_completion(model)
+    z_generated = sequence_representation(generated, library, provider) if generated else None
     rows = []
     for seq in sequences:
         nll = sequence_nll(model, seq.step_ids)
         z_p = sequence_representation(seq.step_ids, library, provider)
-        z_g = (
-            sequence_representation(generated, library, provider) if generated else z_p
-        )
+        z_g = z_p if z_generated is None else z_generated
         methods = []
         z_negatives = []
         for _ in range(cfg.num_negatives):

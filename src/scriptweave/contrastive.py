@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import StepLibrary
 from .errors import DegenerateInput, EmptySequence, UnknownStep, ZeroVector
 from .similarity import SimilarityProvider
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NEGATIVE_METHODS = ("resample", "shuffle", "cutswap")
 
@@ -164,6 +165,8 @@ def sequence_representation(
     step_ids: Sequence[int], library: StepLibrary, provider: SimilarityProvider
 ) -> np.ndarray:
     """Mean of the step-text embeddings along a path."""
+    import numpy as np
+
     step_ids = list(step_ids)
     if not step_ids:
         raise EmptySequence("cannot embed an empty sequence")
@@ -185,6 +188,8 @@ def path_level_losses(
     negatives; with no negatives it is exactly zero. The cross-entropy
     part is the supplied sequence NLL, and total = ce + alpha * contrastive.
     """
+    import numpy as np
+
     cfg = cfg or LossConfig()
     z_g = np.asarray(batch.z_generated, dtype=float)
     z_p = np.asarray(batch.z_positive, dtype=float)
@@ -201,6 +206,8 @@ def path_level_losses(
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     if a.shape != b.shape:
         raise ValueError(f"embedding shapes differ: {a.shape} vs {b.shape}")
     norm_a = float(np.linalg.norm(a))

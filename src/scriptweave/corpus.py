@@ -9,6 +9,7 @@ statistics over grounded sequences.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -56,22 +57,14 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
-    for row in _edit_rows(a, b):
-        pass
-    return row[-1]
-
-
-def _edit_rows(a: Sequence, b: Sequence):
-    """Yield the rows of the edit-distance table of a against b, from row 0."""
     previous = list(range(len(b) + 1))
-    yield previous
     for i, x in enumerate(a, start=1):
         current = [i]
         for j, y in enumerate(b, start=1):
             cost = 0 if x == y else 1
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        yield current
         previous = current
+    return previous[-1]
 
 
 def normalized_levenshtein(a: Sequence, b: Sequence) -> float:
@@ -82,6 +75,7 @@ def normalized_levenshtein(a: Sequence, b: Sequence) -> float:
     return levenshtein(a, b) / longest
 
 
+@functools.lru_cache(maxsize=None)
 def _max_near_duplicate_edits(longest: int) -> int:
     """Largest edit count d with d / longest < DEDUP_DISTANCE, decided by that float comparison."""
     edits = int(DEDUP_DISTANCE * longest)
@@ -95,22 +89,37 @@ def _max_near_duplicate_edits(longest: int) -> int:
 def is_near_duplicate(a: Sequence, b: Sequence) -> bool:
     """Exactly ``normalized_levenshtein(a, b) < DEDUP_DISTANCE``, decided early.
 
-    The edit distance is at least the length difference, and the smallest
-    entry of an edit-distance row never shrinks from one row to the next,
-    so a pair is rejected as soon as either exceeds the largest edit count
-    the threshold allows.
+    Only the band |i - j| <= limit of the edit-distance table is computed,
+    where limit is the largest edit count the threshold allows: a cell
+    off the band costs at least |i - j| > limit, so it holds limit + 1,
+    and a band cell then equals the true distance whenever either is at
+    most limit. The edit distance is at least the length difference, and
+    the smallest entry of a row never shrinks from one row to the next, so
+    a pair is rejected as soon as either exceeds limit.
     """
     if len(a) < len(b):
         a, b = b, a
     if not a:
         return True  # both empty: normalized distance 0.0
     limit = _max_near_duplicate_edits(len(a))
-    if len(a) - len(b) > limit:
+    m = len(b)
+    if len(a) - m > limit:
         return False
-    for row in _edit_rows(a, b):
-        if min(row) > limit:
+    cap = limit + 1
+    previous = list(range(m + 1))
+    for i, x in enumerate(a, start=1):
+        first = max(0, i - limit)
+        last = min(m, i + limit)
+        current = [cap] * (m + 1)
+        if first == 0:
+            current[0] = i
+        for j in range(max(1, first), last + 1):
+            cost = 0 if x == b[j - 1] else 1
+            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+        if min(current[first : last + 1]) > limit:
             return False
-    return row[-1] <= limit
+        previous = current
+    return previous[m] <= limit
 
 
 def deduplicate_library(steps: Sequence[str]) -> list[str]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import StepLibrary
 from .errors import EmptyLibrary, NoCompletion
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
@@ -69,6 +67,8 @@ def constrained_beam_search(
     (-score, sequence) order of children is (-score, parent's rank in
     sequence order, next step id).
     """
+    import numpy as np
+
     cfg = cfg or DecodeConfig()
     if trie.library.texts() != model.library.texts():
         raise ValueError("trie and model were built over different libraries")

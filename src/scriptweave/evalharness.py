@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .corpus import StepLibrary, levenshtein
 from .errors import LengthMismatch, MissingLinearData, TooFewSequences
 from .grounding import GroundedSequence
@@ -239,6 +237,8 @@ def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
 
     Ties go to the lowest step id.
     """
+    import numpy as np
+
     n_steps = len(model.library.steps)
     predictions = []
     for example in split.test_examples:
@@ -258,6 +258,8 @@ def greedy_completion(
     Ties go to END first, then the lowest step id, so the result is
     deterministic. Returns only the continuation, without the prefix.
     """
+    import numpy as np
+
     n_steps = len(model.library.steps)
     cap = max_steps if max_steps is not None else 2 * n_steps
     sequence = list(prefix)

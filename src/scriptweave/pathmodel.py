@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import StepLibrary
 from .errors import EmptyCorpus, UnknownStep
 from .jsonio import read_json, write_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 START = -1
 END = -2
@@ -137,6 +138,8 @@ def _effective_context(model: PathModel, prefix: Sequence[int]) -> tuple[int, ..
 def _context_rows(model: PathModel, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     # Elementwise, the same IEEE operations as scoring one transition:
     # (count + lam) / (total + lam * V1), count / total, or 1 / V1.
+    import numpy as np
+
     size = model.vocabulary_size
     lam = model.config.smoothing_lambda
     total = model.totals.get(ctx, 0)

@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import math
 import re
-import urllib.error
-import urllib.request
 from collections import Counter
-from typing import Iterable, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .errors import EmbeddingServiceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -86,6 +85,8 @@ class TfidfSimilarity:
         return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
     def _memo_vector(self, text: str) -> np.ndarray:
+        import numpy as np
+
         vec = np.zeros(len(self._vocab))
         for token, count in Counter(tokenize(text)).items():
             index = self._vocab.get(token)
@@ -123,6 +124,11 @@ class HttpEmbeddingProvider:
         self._vectors: dict[str, np.ndarray] = {}
 
     def _request(self, texts: list[str]) -> list[np.ndarray]:
+        import urllib.error
+        import urllib.request
+
+        import numpy as np
+
         payload = json.dumps({"texts": texts}).encode("utf-8")
         request = urllib.request.Request(
             self.base_url + "/embed",
@@ -160,6 +166,8 @@ class HttpEmbeddingProvider:
         return [self._vectors[text] for text in texts]
 
     def similarity(self, a: str, b: str) -> float:
+        import numpy as np
+
         va, vb = self.embed([a, b])
         norm_a = float(np.linalg.norm(va))
         norm_b = float(np.linalg.norm(vb))

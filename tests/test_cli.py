@@ -1,9 +1,14 @@
 """Command-line pipeline: wiring, configuration, and error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scriptweave
 from scriptweave.cli import (
     DECODED_FILE,
     GRAPH_DOT_FILE,
@@ -104,7 +109,8 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def run_pipeline(ws, out_dir, extra_eval=("--split", "0.5")):
+def pipeline_argvs(ws, out_dir, extra_eval=("--split", "0.5")):
+    """The command line of every stage, in pipeline order."""
     cfg = str(ws / "settings.cfg")
     steps = [
         ["library", "--config", cfg, "--tasks", str(ws / "tasks.jsonl"), "--docs", str(ws / "docs.jsonl")],
@@ -116,8 +122,12 @@ def run_pipeline(ws, out_dir, extra_eval=("--split", "0.5")):
         ["graph", "--config", cfg],
         ["eval", "--config", cfg, *extra_eval],
     ]
-    for argv in steps:
-        code = run_command(argv + ["--out-dir", str(out_dir)])
+    return [argv + ["--out-dir", str(out_dir)] for argv in steps]
+
+
+def run_pipeline(ws, out_dir, extra_eval=("--split", "0.5")):
+    for argv in pipeline_argvs(ws, out_dir, extra_eval):
+        code = run_command(argv)
         assert code == 0, f"{argv[0]} exited with {code}"
 
 
@@ -259,6 +269,51 @@ class TestPipeline:
         run_pipeline(workspace, out2)
         for name in ARTIFACTS:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# Runs the stages given as JSON argv lists in one fresh interpreter and
+# prints, after the import and after each stage, which heavy modules it
+# has loaded that the bare interpreter had not (or the stage's exit code).
+_FOOTPRINT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+heavy = lambda: [m for m in ("numpy", "urllib.request", "http.client")
+                 if m in sys.modules and m not in before]
+from scriptweave.cli import run_command
+loaded = {"import": heavy()}
+for argv in json.loads(sys.argv[1]):
+    code = run_command(argv)
+    loaded[argv[0]] = heavy() if code == 0 else code
+print(json.dumps(loaded))
+"""
+
+
+def heavy_modules_loaded(argvs):
+    src = str(Path(scriptweave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    """Each stage is its own process: only the array stages load numpy,
+    and only an embedding URL loads the HTTP client."""
+
+    def test_only_array_stages_load_numpy(self, workspace):
+        argv = {a[0]: a for a in pipeline_argvs(workspace, workspace / "out")}
+        light = heavy_modules_loaded([argv[s] for s in ("library", "ground", "stats", "train")])
+        arrays = heavy_modules_loaded([argv[s] for s in ("losses", "decode", "eval")])
+        graph = heavy_modules_loaded([argv["graph"]])
+        assert light == {"import": [], "library": [], "ground": [], "stats": [], "train": []}
+        assert graph == {"import": [], "graph": []}
+        assert arrays["import"] == []
+        for stage in ("losses", "decode", "eval"):
+            assert arrays[stage] == ["numpy"], stage
 
 
 class TestConfigMerging:

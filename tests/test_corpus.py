@@ -128,10 +128,15 @@ class TestDeduplicate:
 
 @st.composite
 def _near_miss_pair(draw):
-    """A text and a copy of it with a few random single-character edits."""
-    a = draw(st.text(alphabet="ab c", max_size=32))
+    """A text and a copy of it with a few random single-character edits.
+
+    Texts run to 90 characters, so the allowed edit count (and with it the
+    width of the band is_near_duplicate computes) reaches 8, and up to 12
+    edits put pairs on both sides of it.
+    """
+    a = draw(st.text(alphabet="ab c", max_size=90))
     b = list(a)
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, 12))):
         pos = draw(st.integers(0, len(b)))
         op = draw(st.sampled_from(["insert", "delete", "replace"]))
         if op == "insert":
@@ -145,7 +150,7 @@ def _near_miss_pair(draw):
 
 
 class TestNearDuplicate:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(pair=_near_miss_pair())
     def test_matches_normalized_levenshtein(self, pair):
         a, b = pair
@@ -154,12 +159,23 @@ class TestNearDuplicate:
         assert is_near_duplicate(b, a) == expected
 
     def test_threshold_at_every_length(self):
+        # Substitutions at the front; and k characters added at one end and
+        # removed at the other, which shifts the best alignment k cells off
+        # the diagonal, so for k near the allowed edit count it runs along
+        # the edge of the band is_near_duplicate computes.
+        rng = random.Random(5)
         for n in range(1, 61):
+            text = "".join(rng.choice("abcdefgh ") for _ in range(n))
             for k in range(min(n, 8) + 1):
-                a, b = "a" * n, "b" * k + "a" * (n - k)
-                assert is_near_duplicate(a, b) == (
-                    normalized_levenshtein(a, b) < DEDUP_DISTANCE
-                ), (n, k)
+                for a, b in (
+                    ("a" * n, "b" * k + "a" * (n - k)),
+                    ("x" * k + text, text),
+                    (text + "x" * k, text),
+                    (text[k:] + "y" * k, text),
+                ):
+                    expected = normalized_levenshtein(a, b) < DEDUP_DISTANCE
+                    assert is_near_duplicate(a, b) == expected, (n, k, a, b)
+                    assert is_near_duplicate(b, a) == expected, (n, k, a, b)
 
 
 class TestBuildStepLibrary:
