@@ -18,9 +18,9 @@ strings, full-line # comments allowed), then SCRIPTWEAVE_* environment
 variables, then command-line flags. A seed is required; given the same
 inputs, settings, and seed every artifact is byte-identical across runs.
 
-Each stage runs as its own process, so numpy and the HTTP client are
-imported inside the functions that use them: a stage loads only what it
-computes with.
+Each stage runs as its own process and computes with the standard
+library only; the HTTP client is imported inside the embedding client, so
+only a stage with embedding_url set loads it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import random
 import sys
@@ -442,9 +443,9 @@ def cmd_losses(cfg: PipelineConfig) -> int:
         "alpha": cfg.alpha,
         "temperature": cfg.temperature,
         "sequences": rows,
-        "mean_nll": sum(r["nll"] for r in rows) / n if n else 0.0,
-        "mean_contrastive": sum(r["contrastive"] for r in rows) / n if n else 0.0,
-        "mean_total": sum(r["total"] for r in rows) / n if n else 0.0,
+        "mean_nll": math.fsum(r["nll"] for r in rows) / n if n else 0.0,
+        "mean_contrastive": math.fsum(r["contrastive"] for r in rows) / n if n else 0.0,
+        "mean_total": math.fsum(r["total"] for r in rows) / n if n else 0.0,
     }
     path = _out_path(cfg, LOSSES_FILE)
     write_json(payload, path)

@@ -9,16 +9,14 @@ against one positive and its negatives.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import StepLibrary
-from .errors import DegenerateInput, EmptySequence, UnknownStep, ZeroVector
-from .similarity import SimilarityProvider
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import DegenerateInput, EmptySequence, UnknownStep
+from .similarity import SimilarityProvider, cosine
 
 NEGATIVE_METHODS = ("resample", "shuffle", "cutswap")
 
@@ -52,9 +50,9 @@ class LossConfig:
 class ContrastiveBatch:
     """Embeddings for one loss evaluation: generated, positive, negatives."""
 
-    z_generated: np.ndarray
-    z_positive: np.ndarray
-    z_negatives: list[np.ndarray] = field(default_factory=list)
+    z_generated: Sequence[float]
+    z_positive: Sequence[float]
+    z_negatives: list[Sequence[float]] = field(default_factory=list)
 
 
 class MixtureWeights(NamedTuple):
@@ -105,14 +103,13 @@ def generate_negative(
     replacement (wrong steps, wrong order). shuffle permutes the positive
     and cutswap rotates it at a random cut, so both keep the step set but
     break the order. Every method returns a sequence that differs from
-    the positive and is not in valid_set.
+    the positive and is not in valid_set, a set of step-id tuples.
     """
     cfg = cfg or NegativeGenConfig()
     rng = rng or random.Random(cfg.rng_seed)
     positive = list(positive)
     if not positive:
         raise DegenerateInput("cannot corrupt an empty sequence")
-    valid = {tuple(seq) for seq in valid_set}
     target = tuple(positive)
 
     if method == "resample":
@@ -123,7 +120,7 @@ def generate_negative(
             )
         for _ in range(cfg.max_shuffle_attempts):
             candidate = rng.sample(ids, len(positive))
-            if tuple(candidate) != target and tuple(candidate) not in valid:
+            if tuple(candidate) != target and tuple(candidate) not in valid_set:
                 return candidate
         raise DegenerateInput("resampling kept producing valid sequences")
 
@@ -133,11 +130,11 @@ def generate_negative(
         for _ in range(cfg.max_shuffle_attempts):
             candidate = positive[:]
             rng.shuffle(candidate)
-            if tuple(candidate) != target and tuple(candidate) not in valid:
+            if tuple(candidate) != target and tuple(candidate) not in valid_set:
                 return candidate
         # deterministic last resort, still subject to the invalidity guarantee
         reversal = positive[::-1]
-        if tuple(reversal) != target and tuple(reversal) not in valid:
+        if tuple(reversal) != target and tuple(reversal) not in valid_set:
             return reversal
         raise DegenerateInput("every permutation tried is a valid sequence")
 
@@ -148,7 +145,7 @@ def generate_negative(
         first = rng.choice(cuts)
         for cut in [first] + [c for c in cuts if c != first]:
             candidate = positive[cut:] + positive[:cut]
-            if tuple(candidate) != target and tuple(candidate) not in valid:
+            if tuple(candidate) != target and tuple(candidate) not in valid_set:
                 return candidate
         raise DegenerateInput("every rotation of the sequence is valid")
 
@@ -163,10 +160,10 @@ def _library_ids(library) -> list[int]:
 
 def sequence_representation(
     step_ids: Sequence[int], library: StepLibrary, provider: SimilarityProvider
-) -> np.ndarray:
-    """Mean of the step-text embeddings along a path."""
-    import numpy as np
-
+) -> tuple[float, ...]:
+    """Mean of the step-text embeddings along a path: the vectors are added
+    left to right to a zero vector, then every component is divided by the
+    path length."""
     step_ids = list(step_ids)
     if not step_ids:
         raise EmptySequence("cannot embed an empty sequence")
@@ -175,7 +172,12 @@ def sequence_representation(
             raise UnknownStep(f"step id {step_id} not in library")
     texts = [library.steps[step_id].normalized_text for step_id in step_ids]
     vectors = provider.embed(texts)
-    return np.mean(np.stack(vectors), axis=0)
+    if len({len(vec) for vec in vectors}) > 1:
+        raise ValueError("step embeddings have different dimensions")
+    total = (0.0,) * len(vectors[0])
+    for vec in vectors:
+        total = tuple(map(operator.add, total, vec))
+    return tuple(x / len(vectors) for x in total)
 
 
 def path_level_losses(
@@ -188,30 +190,14 @@ def path_level_losses(
     negatives; with no negatives it is exactly zero. The cross-entropy
     part is the supplied sequence NLL, and total = ce + alpha * contrastive.
     """
-    import numpy as np
-
     cfg = cfg or LossConfig()
-    z_g = np.asarray(batch.z_generated, dtype=float)
-    z_p = np.asarray(batch.z_positive, dtype=float)
-    negatives = [np.asarray(z, dtype=float) for z in batch.z_negatives]
-
-    sims = [_cosine(z_g, z_p)] + [_cosine(z_g, z_n) for z_n in negatives]
+    z_g = batch.z_generated
+    sims = [cosine(z_g, batch.z_positive)] + [cosine(z_g, z_n) for z_n in batch.z_negatives]
     scaled = [s / cfg.temperature for s in sims]
     # log-sum-exp with max shift for stability
     peak = max(scaled)
-    logsum = peak + math.log(sum(math.exp(s - peak) for s in scaled))
+    logsum = peak + math.log(math.fsum(math.exp(s - peak) for s in scaled))
     contrastive = -(scaled[0] - logsum)
     total = nll + cfg.alpha * contrastive
     return contrastive, nll, total
 
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    import numpy as np
-
-    if a.shape != b.shape:
-        raise ValueError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity of a zero-norm embedding is undefined")
-    return float(np.dot(a, b) / (norm_a * norm_b))

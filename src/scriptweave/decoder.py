@@ -8,6 +8,8 @@ sequences and their accumulated log probability.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .corpus import StepLibrary
@@ -61,47 +63,49 @@ def constrained_beam_search(
     of sequence_nll for that path. Raises NoCompletion when nothing
     reaches END within max_steps.
 
-    Each depth expands the whole beam at once: one log-prob row per item
-    plus its prefix score, with used steps and zero-probability moves
-    masked out. Active sequences are distinct and equally long, so the
+    Each depth scores every child of the beam from its parent's log-prob
+    row and prefix score, skipping used steps and zero-probability moves.
+    Active sequences are distinct and equally long, so the
     (-score, sequence) order of children is (-score, parent's rank in
-    sequence order, next step id).
+    sequence order, next step id). Log probabilities are at most 0, so once
+    beam_width paths have finished, an active item scoring below the worst
+    of them can have no finishing descendant and is dropped; the search
+    stops when no item is left.
     """
-    import numpy as np
-
     cfg = cfg or DecodeConfig()
     if trie.library.texts() != model.library.texts():
         raise ValueError("trie and model were built over different libraries")
     n_steps = len(model.library.steps)
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * n_steps
 
-    seqs: list[tuple[int, ...]] = [()]
-    scores = np.zeros(1)
-    used = np.zeros((1, n_steps), dtype=bool)
+    beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []
     for depth in range(max_steps + 1):
-        if not seqs:
-            break
-        totals = scores[:, None] + np.stack([model.rows(seq)[1] for seq in seqs])
-        ends = totals[:, n_steps].tolist()
-        finished.extend((seq, end) for seq, end in zip(seqs, ends) if end != -np.inf)
+        beam.sort()
+        rows = [model.rows(seq)[1] for seq, _ in beam]
+        for (seq, score), row in zip(beam, rows):
+            end = score + row[n_steps]
+            if end != -math.inf:
+                finished.append((seq, end))
         finished.sort(key=lambda item: (-item[1], item[0]))
         del finished[cfg.beam_width :]
         if depth == max_steps:
             break
 
-        steps = totals[:, :n_steps]
-        steps[used] = -np.inf
-        parents, nexts = np.nonzero(steps != -np.inf)
-        rank = np.empty(len(seqs), dtype=np.int64)
-        rank[sorted(range(len(seqs)), key=seqs.__getitem__)] = np.arange(len(seqs))
-        values = steps[parents, nexts]
-        keep = np.lexsort((nexts, rank[parents], -values))[: cfg.beam_width]
-        parents, nexts = parents[keep], nexts[keep]
-        seqs = [seqs[p] + (n,) for p, n in zip(parents.tolist(), nexts.tolist())]
-        scores = values[keep]
-        used = used[parents]
-        used[np.arange(len(seqs)), nexts] = True
+        floor = finished[-1][1] if len(finished) == cfg.beam_width else -math.inf
+        children = heapq.nsmallest(
+            cfg.beam_width,
+            (
+                (-(score + row[nxt]), rank, nxt)
+                for rank, ((seq, score), row) in enumerate(zip(beam, rows))
+                if score >= floor
+                for nxt in set(range(n_steps)).difference(seq)
+                if row[nxt] != -math.inf
+            ),
+        )
+        beam = [(beam[rank][0] + (nxt,), -negated) for negated, rank, nxt in children]
+        if not beam:
+            break
 
     if not finished:
         raise NoCompletion(f"no path reached END within {max_steps} steps")

@@ -237,15 +237,13 @@ def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
 
     Ties go to the lowest step id.
     """
-    import numpy as np
-
     n_steps = len(model.library.steps)
     predictions = []
     for example in split.test_examples:
         check_steps(example.prefix, model.library)
         prob = model.rows(example.prefix)[0][:n_steps]
         used = set(example.prefix)
-        ranked = np.argsort(-prob, kind="stable").tolist()
+        ranked = sorted(range(n_steps), key=lambda step_id: -prob[step_id])
         predictions.append([step_id for step_id in ranked if step_id not in used])
     return predictions
 
@@ -258,24 +256,23 @@ def greedy_completion(
     Ties go to END first, then the lowest step id, so the result is
     deterministic. Returns only the continuation, without the prefix.
     """
-    import numpy as np
-
     n_steps = len(model.library.steps)
     cap = max_steps if max_steps is not None else 2 * n_steps
     sequence = list(prefix)
     check_steps(sequence, model.library)
     start = len(sequence)
-    used = np.zeros(n_steps, dtype=bool)
-    used[sequence] = True
+    used = set(sequence)
     for _ in range(cap):
         prob = model.rows(sequence)[0]
-        # First maximum over [END, 0..V-1], so ties go to END; used steps score -1.
-        scores = np.concatenate((prob[n_steps:], np.where(used, -1.0, prob[:n_steps])))
-        nxt = int(scores.argmax()) - 1
+        # First maximum over [END, 0..V-1] among unused steps, so ties go to END.
+        best, nxt = prob[n_steps], -1
+        for step_id in range(n_steps):
+            if prob[step_id] > best and step_id not in used:
+                best, nxt = prob[step_id], step_id
         if nxt < 0:
             break
         sequence.append(nxt)
-        used[nxt] = True
+        used.add(nxt)
     return sequence[start:]
 
 

@@ -17,17 +17,16 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .corpus import StepLibrary
 from .errors import EmptyCorpus, UnknownStep
 from .jsonio import read_json, write_json
 
-if TYPE_CHECKING:
-    import numpy as np
-
 START = -1
 END = -2
+
+Row = tuple[float, ...]
 
 
 @dataclass
@@ -55,8 +54,8 @@ class PathModel:
         # Next-token support: every library step plus END.
         return len(self.library.steps) + 1
 
-    def rows(self, prefix: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Shared read-only probability and log-probability rows after a
+    def rows(self, prefix: Sequence[int]) -> tuple[Row, Row]:
+        """Shared probability and log-probability rows after a
         prefix of valid step ids: column i is step i, column V is END, and a
         zero probability has log probability -inf."""
         ctx = _effective_context(self, prefix)
@@ -96,7 +95,7 @@ def next_step_distribution(model: PathModel, prefix: Sequence[int]) -> dict[int,
     check_steps(prefix, model.library)
     prob, _ = model.rows(prefix)
     support = [step.step_id for step in model.library.steps] + [END]
-    return dict(zip(support, prob.tolist()))
+    return dict(zip(support, prob))
 
 
 def sequence_nll(model: PathModel, step_ids: Sequence[int]) -> float:
@@ -109,7 +108,7 @@ def sequence_nll(model: PathModel, step_ids: Sequence[int]) -> float:
     end = len(model.library.steps)
     nll = 0.0
     for i, column in enumerate(step_ids + [end]):
-        logprob = model.rows(step_ids[:i])[1].item(column)
+        logprob = model.rows(step_ids[:i])[1][column]
         if logprob == -math.inf:
             return math.inf
         nll -= logprob
@@ -135,25 +134,20 @@ def _effective_context(model: PathModel, prefix: Sequence[int]) -> tuple[int, ..
     return tail[-1:]
 
 
-def _context_rows(model: PathModel, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    # Elementwise, the same IEEE operations as scoring one transition:
+def _context_rows(model: PathModel, ctx: tuple[int, ...]) -> tuple[Row, Row]:
+    # Per cell, the IEEE operations of scoring one transition:
     # (count + lam) / (total + lam * V1), count / total, or 1 / V1.
-    import numpy as np
-
     size = model.vocabulary_size
     lam = model.config.smoothing_lambda
     total = model.totals.get(ctx, 0)
-    counts = np.zeros(size)
+    counts = [0] * size
     for nxt, count in model.counts.get(ctx, {}).items():
         counts[size - 1 if nxt == END else nxt] = count
     if lam == 0.0:
-        prob = np.full(size, 1.0 / size) if total == 0 else counts / total
+        prob = (1.0 / size,) * size if total == 0 else tuple(c / total for c in counts)
     else:
-        prob = (counts + lam) / (total + lam * size)
-    # math.log, not np.log, whose last bit may differ.
-    logprob = np.array([math.log(p) if p > 0.0 else -math.inf for p in prob.tolist()])
-    prob.flags.writeable = False
-    logprob.flags.writeable = False
+        prob = tuple((c + lam) / (total + lam * size) for c in counts)
+    logprob = tuple(math.log(p) if p > 0.0 else -math.inf for p in prob)
     return prob, logprob
 
 

@@ -2,21 +2,21 @@
 
 Two implementations of the same small interface: a self-contained TF-IDF
 cosine provider, and a client for an external embedding service. Both are
-deterministic for fixed inputs.
+deterministic for fixed inputs. Every float sum is math.fsum, the exactly
+rounded sum, so scores do not depend on summation order or the Python
+version (the idf's math.log still comes from the platform's libm).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
-from .errors import EmbeddingServiceError
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import EmbeddingServiceError, ZeroVector
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -25,8 +25,23 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    """Cosine similarity, with the dot product and both norms summed by math.fsum.
+
+    Vectors of different lengths are a ValueError and a zero-norm vector
+    is ZeroVector.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"embedding dimensions differ: {len(a)} vs {len(b)}")
+    norm_a = math.sqrt(math.fsum(x * x for x in a))
+    norm_b = math.sqrt(math.fsum(x * x for x in b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ZeroVector("cosine similarity of a zero-norm embedding is undefined")
+    return math.fsum(map(operator.mul, a, b)) / (norm_a * norm_b)
+
+
 class SimilarityProvider(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]: ...
 
     def similarity(self, a: str, b: str) -> float: ...
 
@@ -59,7 +74,7 @@ class TfidfSimilarity:
         self._df = dict(df)
         self._vocab = {token: i for i, token in enumerate(sorted(self._df))}
         self._weighted: dict[str, tuple[dict[str, float], float]] = {}
-        self._vectors: dict[str, np.ndarray] = {}
+        self._vectors: dict[str, tuple[float, ...]] = {}
 
     def _idf(self, token: str) -> float:
         return math.log((1 + self._num_docs) / (1 + self._df.get(token, 0))) + 1.0
@@ -69,7 +84,7 @@ class TfidfSimilarity:
 
     def _memo_weights(self, text: str) -> tuple[dict[str, float], float]:
         weights = self._weights(text)
-        entry = (weights, math.sqrt(sum(w * w for w in weights.values())))
+        entry = (weights, math.sqrt(math.fsum(w * w for w in weights.values())))
         self._weighted[text] = entry
         return entry
 
@@ -80,26 +95,21 @@ class TfidfSimilarity:
             return 0.0
         if wa == wb:
             return 1.0
-        # Summing over sorted tokens keeps the result exactly symmetric.
-        dot = sum(wa[t] * wb[t] for t in sorted(wa.keys() & wb.keys()))
+        dot = math.fsum(wa[t] * wb[t] for t in wa.keys() & wb.keys())
         return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
-    def _memo_vector(self, text: str) -> np.ndarray:
-        import numpy as np
-
-        vec = np.zeros(len(self._vocab))
+    def _memo_vector(self, text: str) -> tuple[float, ...]:
+        vec = [0.0] * len(self._vocab)
         for token, count in Counter(tokenize(text)).items():
             index = self._vocab.get(token)
             if index is not None:
                 vec[index] = count * self._idf(token)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        vec.flags.writeable = False
-        self._vectors[text] = vec
-        return vec
+        norm = math.sqrt(math.fsum(x * x for x in vec))
+        vector = tuple(x / norm for x in vec) if norm > 0 else tuple(vec)
+        self._vectors[text] = vector
+        return vector
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
         vectors = []
         for text in texts:
             vec = self._vectors.get(text)
@@ -112,22 +122,21 @@ class HttpEmbeddingProvider:
 
     POSTs {"texts": [...]} to {base_url}/embed and expects
     {"vectors": [[...], ...]} back. Any transport failure, timeout, or
-    malformed payload raises EmbeddingServiceError; there is deliberately
-    no silent lexical fallback. Vectors are kept per text for the life of
-    the provider, so each distinct text is sent at most once; a failed
-    request keeps nothing. Returned vectors are shared and read-only.
+    malformed payload raises EmbeddingServiceError, and so does a vector
+    component that is not a finite number; there is deliberately no silent
+    lexical fallback. Vectors are kept per text for the life of the
+    provider, so each distinct text is sent at most once; a failed request
+    keeps nothing. Returned vectors are shared tuples.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._vectors: dict[str, np.ndarray] = {}
+        self._vectors: dict[str, tuple[float, ...]] = {}
 
-    def _request(self, texts: list[str]) -> list[np.ndarray]:
+    def _request(self, texts: list[str]) -> list[tuple[float, ...]]:
         import urllib.error
         import urllib.request
-
-        import numpy as np
 
         payload = json.dumps({"texts": texts}).encode("utf-8")
         request = urllib.request.Request(
@@ -143,8 +152,8 @@ class HttpEmbeddingProvider:
             raise EmbeddingServiceError(f"embedding service request failed: {exc}") from exc
         try:
             data = json.loads(body)
-            vectors = [np.asarray(v, dtype=float) for v in data["vectors"]]
-        except (ValueError, KeyError, TypeError) as exc:
+            vectors = [_parse_vector(v) for v in data["vectors"]]
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise EmbeddingServiceError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(texts):
             raise EmbeddingServiceError(
@@ -152,13 +161,11 @@ class HttpEmbeddingProvider:
             )
         # Cached and new vectors are compared with each other, so all share one dimension.
         known = next(iter(self._vectors.values()), vectors[0])
-        if any(v.shape != known.shape for v in vectors):
+        if any(len(v) != len(known) for v in vectors):
             raise EmbeddingServiceError("embedding vectors have mismatched dimensions")
-        for vec in vectors:
-            vec.flags.writeable = False
         return vectors
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
         texts = list(texts)
         missing = [text for text in dict.fromkeys(texts) if text not in self._vectors]
         if missing:
@@ -166,11 +173,17 @@ class HttpEmbeddingProvider:
         return [self._vectors[text] for text in texts]
 
     def similarity(self, a: str, b: str) -> float:
-        import numpy as np
-
-        va, vb = self.embed([a, b])
-        norm_a = float(np.linalg.norm(va))
-        norm_b = float(np.linalg.norm(vb))
-        if norm_a == 0.0 or norm_b == 0.0:
+        try:
+            return cosine(*self.embed([a, b]))
+        except ZeroVector:
             return 0.0
-        return float(np.dot(va, vb) / (norm_a * norm_b))
+
+
+def _parse_vector(value) -> tuple[float, ...]:
+    # JSON numbers only: bool is a subclass of int, and NaN and infinities parse as floats.
+    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+        raise TypeError("an embedding vector must be a list of numbers")
+    vector = tuple(map(float, value))
+    if not all(map(math.isfinite, vector)):
+        raise ValueError("an embedding vector component is not finite")
+    return vector

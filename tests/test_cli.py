@@ -271,13 +271,15 @@ class TestPipeline:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-# Runs the stages given as JSON argv lists in one fresh interpreter and
-# prints, after the import and after each stage, which heavy modules it
-# has loaded that the bare interpreter had not (or the stage's exit code).
+# Runs the stages given as JSON argv lists in one fresh interpreter in which
+# numpy cannot be imported, and prints, after the import and after each
+# stage, which HTTP-client modules it has loaded that the bare interpreter
+# had not (or the stage's exit code).
 _FOOTPRINT_SCRIPT = """
 import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 before = set(sys.modules)
-heavy = lambda: [m for m in ("numpy", "urllib.request", "http.client")
+heavy = lambda: [m for m in ("urllib.request", "http.client")
                  if m in sys.modules and m not in before]
 from scriptweave.cli import run_command
 loaded = {"import": heavy()}
@@ -301,19 +303,12 @@ def heavy_modules_loaded(argvs):
 
 
 class TestImportFootprint:
-    """Each stage is its own process: only the array stages load numpy,
-    and only an embedding URL loads the HTTP client."""
+    """Each stage is its own process: no stage loads numpy, and only an
+    embedding URL loads the HTTP client."""
 
-    def test_only_array_stages_load_numpy(self, workspace):
-        argv = {a[0]: a for a in pipeline_argvs(workspace, workspace / "out")}
-        light = heavy_modules_loaded([argv[s] for s in ("library", "ground", "stats", "train")])
-        arrays = heavy_modules_loaded([argv[s] for s in ("losses", "decode", "eval")])
-        graph = heavy_modules_loaded([argv["graph"]])
-        assert light == {"import": [], "library": [], "ground": [], "stats": [], "train": []}
-        assert graph == {"import": [], "graph": []}
-        assert arrays["import"] == []
-        for stage in ("losses", "decode", "eval"):
-            assert arrays[stage] == ["numpy"], stage
+    def test_no_stage_loads_numpy(self, workspace):
+        for argv in pipeline_argvs(workspace, workspace / "out"):
+            assert heavy_modules_loaded([argv]) == {"import": [], argv[0]: []}, argv[0]
 
 
 class TestConfigMerging:

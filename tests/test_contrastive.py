@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.contrastive import (
@@ -208,7 +210,7 @@ class FixedEmbedProvider:
         self.table = table
 
     def embed(self, texts):
-        return [np.array(self.table[t], dtype=float) for t in texts]
+        return [tuple(self.table[t]) for t in texts]
 
     def similarity(self, a, b):
         raise NotImplementedError
@@ -219,7 +221,7 @@ class TestSequenceRepresentation:
         library = make_library(2)
         provider = FixedEmbedProvider({"step 0": [1.0, 0.0], "step 1": [0.0, 1.0]})
         vec = sequence_representation([0, 1], library, provider)
-        assert vec.tolist() == [0.5, 0.5]
+        assert list(vec) == [0.5, 0.5]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
@@ -228,6 +230,31 @@ class TestSequenceRepresentation:
     def test_unknown_step_rejected(self):
         with pytest.raises(UnknownStep):
             sequence_representation([5], make_library(2), FixedEmbedProvider({}))
+
+    def test_mismatched_dimensions_rejected(self):
+        provider = FixedEmbedProvider({"step 0": [1.0, 0.0], "step 1": [0.0, 1.0, 0.0]})
+        with pytest.raises(ValueError):
+            sequence_representation([0, 1], make_library(2), provider)
+
+    # numpy is the oracle only: the mean is a left-to-right sum from a zero
+    # vector (so -0.0 sums to 0.0), divided by n, which is what numpy's mean
+    # over axis 0 computes for two or more columns.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim),
+                min_size=1,
+                max_size=10,
+            )
+        )
+    )
+    def test_equals_numpy_mean_exactly(self, vectors):
+        table = {f"step {i}": vec for i, vec in enumerate(vectors)}
+        got = sequence_representation(range(len(vectors)), make_library(len(vectors)),
+                                      FixedEmbedProvider(table))
+        want = np.mean(np.stack([np.array(vec) for vec in vectors]), axis=0)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
 def naive_contrastive(z_g, z_p, z_negs, temperature):

@@ -162,7 +162,7 @@ def test_next_step_distribution_and_nll_match_reference(case):
     for prefix in prefixes:
         expected = ref_next_step_distribution(model, prefix)
         assert next_step_distribution(model, prefix) == expected
-        assert model.rows(prefix)[1].tolist() == [
+        assert list(model.rows(prefix)[1]) == [
             math.log(p) if p > 0.0 else -math.inf for p in expected.values()
         ]
         assert sequence_nll(model, prefix) == ref_sequence_nll(model, prefix)
@@ -196,6 +196,19 @@ def test_beam_search_matches_reference(case, beam_width, max_steps):
     assert got == expected
 
 
+def test_beam_keeps_items_tied_with_the_worst_finished_path():
+    # Unsmoothed, so the moves after 1 and 3 have log probability exactly 0:
+    # all four paths score log(1/2) + log(1/2). Once [0] and [2] have filled
+    # a beam of two, [0, 1] is still open at exactly that score, and
+    # [0, 1, 4] must still displace [2] on the sequence tie-break.
+    paths = [[0], [0, 1, 4], [2], [2, 3]]
+    model = train_path_model([Seq(p) for p in paths], make_library(5), PathModelConfig(1, 0.0))
+    cfg = DecodeConfig(beam_width=2)
+    got = constrained_beam_search(model, build_prefix_trie(model.library), cfg)
+    score = math.log(0.5) + math.log(0.5)
+    assert got == ref_beam_search(model, cfg) == [([0], score), ([0, 1, 4], score)]
+
+
 def test_log_rows_are_math_log_over_a_sweep_of_counts():
     # np.log and math.log disagree in the last bit on a fraction of a percent
     # of such probabilities, so the sweep covers tens of thousands of cells.
@@ -212,7 +225,7 @@ def test_log_rows_are_math_log_over_a_sweep_of_counts():
             for prefix in [[], *([s] for s in range(n_steps))]:
                 expected = ref_next_step_distribution(model, prefix).values()
                 prob, logprob = model.rows(prefix)
-                assert prob.tolist() == list(expected)
-                assert logprob.tolist() == [
+                assert list(prob) == list(expected)
+                assert list(logprob) == [
                     math.log(p) if p > 0.0 else -math.inf for p in expected
                 ]

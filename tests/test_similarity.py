@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scriptweave.errors import EmbeddingServiceError
-from scriptweave.similarity import HttpEmbeddingProvider, TfidfSimilarity, tokenize
+from scriptweave.errors import EmbeddingServiceError, ZeroVector
+from scriptweave.similarity import HttpEmbeddingProvider, TfidfSimilarity, cosine, tokenize
 
 CORPUS = [
     "squeeze the lemons into a pitcher",
@@ -55,10 +55,45 @@ def uncached_similarity(corpus, a, b):
         return 0.0
     if wa == wb:
         return 1.0
-    dot = sum(wa[t] * wb[t] for t in sorted(wa.keys() & wb.keys()))
-    norm_a = math.sqrt(sum(w * w for w in wa.values()))
-    norm_b = math.sqrt(sum(w * w for w in wb.values()))
+    dot = math.fsum(wa[t] * wb[t] for t in wa.keys() & wb.keys())
+    norm_a = math.sqrt(math.fsum(w * w for w in wa.values()))
+    norm_b = math.sqrt(math.fsum(w * w for w in wb.values()))
     return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+
+
+def fsum_cosine(a, b):
+    """None when a norm is zero (tiny components can square to zero)."""
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(math.fsum(x * x for x in a))
+    norm_b = math.sqrt(math.fsum(y * y for y in b))
+    return dot / (norm_a * norm_b) if norm_a and norm_b else None
+
+
+_PAIRS = st.integers(1, 12).flatmap(
+    lambda dim: st.tuples(
+        *[st.lists(st.floats(-1e150, 1e150), min_size=dim, max_size=dim)] * 2
+    )
+)
+
+
+class TestCosine:
+    @settings(max_examples=400, deadline=None)
+    @given(_PAIRS, st.randoms(use_true_random=False))
+    def test_equals_fsum_reference_in_any_order(self, pair, rng):
+        a, b = pair
+        want = fsum_cosine(a, b)
+        if want is None:
+            with pytest.raises(ZeroVector):
+                cosine(a, b)
+            return
+        order = list(range(len(a)))
+        rng.shuffle(order)
+        assert cosine(a, b).hex() == want.hex() == cosine(b, a).hex()
+        assert cosine([a[i] for i in order], [b[i] for i in order]).hex() == want.hex()
+
+    def test_mismatched_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestTokenize:
@@ -143,7 +178,7 @@ class TestTfidfEmbed:
         provider = TfidfSimilarity(CORPUS)
         vocab_size = len({t for text in CORPUS for t in tokenize(text)})
         (vec,) = provider.embed(["add sugar"])
-        assert vec.shape == (vocab_size,)
+        assert len(vec) == vocab_size
 
     def test_unit_norm_for_in_vocabulary_text(self):
         provider = TfidfSimilarity(CORPUS)
@@ -195,12 +230,12 @@ class TestTfidfMemo:
                 assert got.hex() == want.hex() == uncached_similarity(CORPUS, *args).hex()
             else:
                 got, want = provider.embed(args), fresh.embed(args)
-                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                assert [[x.hex() for x in v] for v in got] == [[x.hex() for x in v] for v in want]
 
     def test_embedded_vectors_are_read_only(self):
         provider = TfidfSimilarity(CORPUS)
         (vec,) = provider.embed(["add the sugar"])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             vec[0] = 1.0
         (again,) = provider.embed(["add the sugar"])
         assert again is vec
@@ -210,6 +245,7 @@ class _Handler(BaseHTTPRequestHandler):
     """Embeds each text as [len(tokens), sum of token lengths]."""
 
     mode = "ok"
+    payload = None  # the vector served for every text in "payload" mode
     received: list[str] = []
 
     def do_POST(self):
@@ -229,6 +265,8 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.dumps({"vectors": [[1.0, 2.0], [1.0]][: len(texts)]}).encode()
         elif self.mode == "missing_key":
             body = json.dumps({"embeddings": []}).encode()
+        elif self.mode == "payload":
+            body = json.dumps({"vectors": [self.payload for _ in texts]}).encode()
         elif self.mode == "wider":
             body = json.dumps({"vectors": [[1.0, 2.0, 3.0] for _ in texts]}).encode()
         else:
@@ -263,8 +301,8 @@ class TestHttpEmbeddingProvider:
         provider = HttpEmbeddingProvider(embed_server)
         vectors = provider.embed(["add sugar", "stir"])
         assert len(vectors) == 2
-        assert vectors[0].tolist() == [2.0, 8.0]
-        assert vectors[1].tolist() == [1.0, 4.0]
+        assert list(vectors[0]) == [2.0, 8.0]
+        assert list(vectors[1]) == [1.0, 4.0]
 
     def test_similarity_is_cosine_of_served_vectors(self, embed_server):
         provider = HttpEmbeddingProvider(embed_server)
@@ -303,6 +341,36 @@ class TestHttpEmbeddingProvider:
         with pytest.raises(EmbeddingServiceError):
             HttpEmbeddingProvider(embed_server).embed(["x", "y"])
 
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            [1.0, float("nan")],
+            [float("inf"), 1.0],
+            [1.0, -float("inf")],
+            [10**400, 1.0],
+            ["1.0", 2.0],
+            [[1.0], 2.0],
+            [True, 2.0],
+            [None, 2.0],
+            3.0,
+            {"x": 1.0},
+        ],
+    )
+    def test_malformed_vector_is_a_hard_error(self, embed_server, vector):
+        provider = HttpEmbeddingProvider(embed_server)
+        _Handler.mode = "payload"
+        _Handler.payload = vector
+        with pytest.raises(EmbeddingServiceError):
+            provider.embed(["add sugar"])
+        _Handler.mode = "ok"
+        assert list(provider.embed(["add sugar"])[0]) == [2.0, 8.0]
+
+    def test_integer_components_are_floats(self, embed_server):
+        _Handler.mode = "payload"
+        _Handler.payload = [3, -1]
+        (vec,) = HttpEmbeddingProvider(embed_server).embed(["add sugar"])
+        assert [x.hex() for x in vec] == [(3.0).hex(), (-1.0).hex()]
+
     def test_each_distinct_text_is_sent_once(self, embed_server):
         provider = HttpEmbeddingProvider(embed_server)
         queries = ["add sugar", "stir it", "add sugar"]
@@ -335,5 +403,5 @@ class TestHttpEmbeddingProvider:
 
     def test_embedded_vectors_are_read_only(self, embed_server):
         (vec,) = HttpEmbeddingProvider(embed_server).embed(["add sugar"])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             vec[0] = 1.0
