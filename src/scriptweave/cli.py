@@ -48,7 +48,13 @@ from .contrastive import (
     sequence_representation,
 )
 from .corpus import corpus_statistics, load_candidate_docs, load_raw_records, load_tasks
-from .decoder import DecodeConfig, build_prefix_trie, constrained_beam_search, decoded_to_rows
+from .decoder import (
+    DecodeConfig,
+    build_prefix_trie,
+    constrained_beam_search,
+    decoded_to_rows,
+    load_decoded,
+)
 from .errors import BadConfig, DegenerateInput, EmptySequence, ScriptweaveError
 from .evalharness import (
     baseline_complete,
@@ -72,7 +78,8 @@ from .grounding import (
     save_grounded,
     video_passes_task_filter,
 )
-from .jsonio import read_jsonl, write_json, write_jsonl
+# read_jsonl stays bound here: perfbench/spans.py traces it under this name.
+from .jsonio import read_jsonl, write_json, write_jsonl  # noqa: F401
 from .pathmodel import PathModelConfig, load_model, save_model, sequence_nll, train_path_model
 from .similarity import HttpEmbeddingProvider, TfidfSimilarity
 
@@ -468,8 +475,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 def cmd_graph(cfg: PipelineConfig, extra_out: str | None = None) -> int:
     _require(cfg, "seed")
     library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
-    rows = read_jsonl(_out_path(cfg, DECODED_FILE))
-    paths = [[int(s) for s in row["steps"]] for row in rows]
+    paths = [steps for steps, _ in load_decoded(_out_path(cfg, DECODED_FILE))]
     graph = induce_graph(
         paths, prune_threshold=cfg.prune_threshold, task_id=library.task_id, library=library
     )

@@ -362,17 +362,22 @@ def _both_orders(pair: frozenset) -> list[tuple[int, int]]:
 # File formats
 
 
-def _parse_rows(path: str | Path, parse: Callable) -> list:
+def parse_checked(where: str, parse: Callable, value):
+    """parse(value); a KeyError, TypeError or ValueError it raises is BadInput naming where."""
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise BadInput(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise BadInput(f"{where}: {exc}") from None
+
+
+def parse_rows(path: str | Path, parse: Callable) -> list:
     """parse() each JSONL row; a row it rejects raises BadInput naming path:line."""
-    parsed = []
-    for lineno, row in read_jsonl(path, numbered=True):
-        try:
-            parsed.append(parse(row))
-        except KeyError as exc:
-            raise BadInput(f"{path}:{lineno}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise BadInput(f"{path}:{lineno}: {exc}") from None
-    return parsed
+    return [
+        parse_checked(f"{path}:{lineno}", parse, row)
+        for lineno, row in read_jsonl(path, numbered=True)
+    ]
 
 
 def _task(row) -> TaskSpec:
@@ -396,11 +401,11 @@ def _record(row) -> RawSequenceRecord:
 
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
-    return _parse_rows(path, _task)
+    return parse_rows(path, _task)
 
 
 def load_candidate_docs(path: str | Path) -> list[tuple[str, list[str]]]:
-    return _parse_rows(path, _candidate_doc)
+    return parse_rows(path, _candidate_doc)
 
 
 def load_raw_records(paths: str | Path | Sequence[str | Path]) -> list[RawSequenceRecord]:
@@ -413,7 +418,7 @@ def load_raw_records(paths: str | Path | Sequence[str | Path]) -> list[RawSequen
         paths = [paths]
     records: list[RawSequenceRecord] = []
     for path in sorted(paths, key=lambda p: str(p)):
-        records.extend(_parse_rows(path, _record))
+        records.extend(parse_rows(path, _record))
     return records
 
 
@@ -429,16 +434,20 @@ def library_to_json(library: StepLibrary) -> dict:
     }
 
 
-def library_from_json(data: dict) -> StepLibrary:
+def _library(data: dict) -> StepLibrary:
     steps = [
         Step(row["step_id"], row["raw_text"], row["normalized_text"]) for row in data["steps"]
     ]
-    library = StepLibrary(
+    return StepLibrary(
         data["task_id"],
         steps,
         [(title, float(score)) for title, score in data.get("source_docs", [])],
         [list(seq) for seq in data.get("doc_sequences", [])],
     )
+
+
+def library_from_json(data: dict) -> StepLibrary:
+    library = _library(data)
     library.validate()
     return library
 
@@ -448,7 +457,11 @@ def save_library(library: StepLibrary, path: str | Path) -> None:
 
 
 def load_library(path: str | Path) -> StepLibrary:
-    return library_from_json(read_json(path))
+    """A malformed file is BadInput naming the path; a library that parses
+    but fails validation raises as library_from_json does."""
+    library = parse_checked(str(path), _library, read_json(path))
+    library.validate()
+    return library
 
 
 def stats_to_json(stats: CorpusStats) -> dict:

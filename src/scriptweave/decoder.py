@@ -12,7 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .corpus import StepLibrary
+from .corpus import StepLibrary, parse_rows
 from .errors import EmptyLibrary, NoCompletion
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, next_step_distribution  # noqa: F401
@@ -119,5 +119,10 @@ def decoded_to_rows(task_id: str, results) -> list[dict]:
     ]
 
 
-def rows_to_decoded(rows) -> list[tuple[list[int], float]]:
-    return [([int(s) for s in row["steps"]], float(row["logprob"])) for row in rows]
+def _decoded(row) -> tuple[list[int], float]:
+    return [int(s) for s in row["steps"]], float(row["logprob"])
+
+
+def load_decoded(path) -> list[tuple[list[int], float]]:
+    """Read decoded.jsonl; a malformed row raises BadInput naming path:line."""
+    return parse_rows(path, _decoded)

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import RawSequenceRecord, Step, StepLibrary, TaskSpec
+from .corpus import RawSequenceRecord, Step, StepLibrary, TaskSpec, parse_rows
 from .errors import EmptySequence, NoDocuments
-from .jsonio import read_jsonl, write_jsonl
+# read_jsonl stays bound here: perfbench/spans.py traces it under this name.
+from .jsonio import read_jsonl, write_jsonl  # noqa: F401
 from .similarity import SimilarityProvider, tokenize
 
 # Generic words ignored when extracting task-name keywords.
@@ -130,11 +131,12 @@ def ground_labelled_sequence(
     texts = [item.text for item in record.items]
     step_texts = library.texts()
 
+    similarity, k1 = provider.similarity, cfg.k1
     pairs = []
     for i, text in enumerate(texts):
         for j, step_text in enumerate(step_texts):
-            score = provider.similarity(text, step_text)
-            if score >= cfg.k1:
+            score = similarity(text, step_text)
+            if score >= k1:
                 pairs.append((score, i, j))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
 
@@ -224,6 +226,7 @@ def ground_asr_sequence(
     pieces = preprocess_asr([item.text for item in record.items], cfg)
     step_texts = library.texts()
 
+    similarity, k3 = provider.similarity, cfg.k3
     step_ids: list[int] = []
     scores: list[float] = []
     seen: set[int] = set()
@@ -232,11 +235,11 @@ def ground_asr_sequence(
         best_id = -1
         best = float("-inf")
         for j, step_text in enumerate(step_texts):
-            score = provider.similarity(piece, step_text)
+            score = similarity(piece, step_text)
             if score > best:
                 best = score
                 best_id = j
-        if best_id < 0 or best < cfg.k3:
+        if best_id < 0 or best < k3:
             dropped += 1
             continue
         if best_id in seen:
@@ -318,4 +321,5 @@ def save_grounded(sequences: Sequence[GroundedSequence], path) -> None:
 
 
 def load_grounded(path) -> list[GroundedSequence]:
-    return [grounded_from_json(row) for row in read_jsonl(path)]
+    """A row that is not a grounded sequence raises BadInput naming path:line."""
+    return parse_rows(path, grounded_from_json)

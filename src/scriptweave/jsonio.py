@@ -17,10 +17,13 @@ def write_json(obj, path: str | Path) -> None:
 
 
 def read_json(path: str | Path):
+    """Parse a JSON file; one that is not UTF-8 JSON raises BadInput naming path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise MissingArtifact(f"missing artifact: {path}") from None
+    except ValueError as exc:
+        raise BadInput(f"{path}: not valid JSON: {exc}") from None
 
 
 def write_jsonl(rows, path: str | Path) -> None:

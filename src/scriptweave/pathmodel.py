@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import StepLibrary
+from .corpus import StepLibrary, parse_checked
 from .errors import EmptyCorpus, UnknownStep
 from .jsonio import read_json, write_json
 
@@ -188,4 +188,5 @@ def save_model(model: PathModel, path) -> None:
 
 
 def load_model(path, library: StepLibrary) -> PathModel:
-    return model_from_json(read_json(path), library)
+    """A malformed file is BadInput naming the path; unknown ids stay UnknownStep."""
+    return parse_checked(str(path), lambda data: model_from_json(data, library), read_json(path))

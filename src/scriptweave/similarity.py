@@ -57,12 +57,14 @@ class TfidfSimilarity:
     vectors from different calls share one dimension; tokens outside the
     vocabulary contribute nothing there.
 
-    Per-text work is memoised for the life of the provider: each distinct
-    text is tokenised and weighted once, and its L2 norm and unit vector
-    are kept. Pair scores are computed from the memoised weights with the
-    same float operations as uncached scoring, so they are bit-identical
-    to it in any call order. Vectors returned by embed() are shared and
-    read-only. A provider serves one CLI stage, so the memo needs no bound.
+    Work is memoised for the life of the provider: each distinct text is
+    tokenised and weighted once, and its L2 norm and unit vector are kept;
+    each distinct (a, b) pair is scored once, into a row of scores kept per
+    first text, so a repeated pair is a dictionary lookup. A pair is scored
+    from the memoised weights with the same float operations as uncached
+    scoring, so every score is bit-identical to it in any call order.
+    Vectors returned by embed() are shared and read-only. A provider serves
+    one CLI stage, so the memo needs no bound.
     """
 
     def __init__(self, corpus_texts: Iterable[str]):
@@ -75,6 +77,7 @@ class TfidfSimilarity:
         self._vocab = {token: i for i, token in enumerate(sorted(self._df))}
         self._weighted: dict[str, tuple[dict[str, float], float]] = {}
         self._vectors: dict[str, tuple[float, ...]] = {}
+        self._rows: dict[str, dict[str, float]] = {}
 
     def _idf(self, token: str) -> float:
         return math.log((1 + self._num_docs) / (1 + self._df.get(token, 0))) + 1.0
@@ -89,13 +92,25 @@ class TfidfSimilarity:
         return entry
 
     def similarity(self, a: str, b: str) -> float:
+        row = self._rows.get(a)
+        if row is None:
+            row = self._rows[a] = {}
+        score = row.get(b)
+        if score is None:
+            score = row[b] = self._score(a, b)
+        return score
+
+    def _score(self, a: str, b: str) -> float:
         wa, norm_a = self._weighted.get(a) or self._memo_weights(a)
         wb, norm_b = self._weighted.get(b) or self._memo_weights(b)
         if not wa or not wb:
             return 0.0
         if wa == wb:
             return 1.0
-        dot = math.fsum(wa[t] * wb[t] for t in wa.keys() & wb.keys())
+        shared = wa.keys() & wb.keys()
+        if not shared:
+            return 0.0  # what the empty fsum below would give: 0.0 / a positive norm
+        dot = math.fsum(wa[t] * wb[t] for t in shared)
         return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
     def _memo_vector(self, text: str) -> tuple[float, ...]:

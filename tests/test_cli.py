@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -97,16 +98,28 @@ def write_jsonl_file(path, rows):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
-@pytest.fixture()
-def workspace(tmp_path):
-    write_jsonl_file(tmp_path / "tasks.jsonl", TASKS)
-    write_jsonl_file(tmp_path / "docs.jsonl", DOCS)
-    write_jsonl_file(tmp_path / "corpus.jsonl", VIDEOS)
+def write_workspace(path):
+    write_jsonl_file(path / "tasks.jsonl", TASKS)
+    write_jsonl_file(path / "docs.jsonl", DOCS)
+    write_jsonl_file(path / "corpus.jsonl", VIDEOS)
     # a permissive title gate so the narrated video is grounded too
-    (tmp_path / "settings.cfg").write_text(
+    (path / "settings.cfg").write_text(
         "# lemonade fixture settings\nseed = 7\nk2 = 0.2\n", encoding="utf-8"
     )
-    return tmp_path
+    return path
+
+
+@pytest.fixture()
+def workspace(tmp_path):
+    return write_workspace(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A workspace whose whole pipeline has run once; tests edit copies of its artifacts."""
+    ws = write_workspace(tmp_path_factory.mktemp("finished"))
+    run_pipeline(ws, ws / "out")
+    return ws
 
 
 def pipeline_argvs(ws, out_dir, extra_eval=("--split", "0.5")):
@@ -519,3 +532,68 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BadInput"
         assert err["message"].startswith(f"{docs}:{len(DOCS) + 1}:")
+
+
+def _without(value, key):
+    value = dict(value)
+    del value[key]
+    return value
+
+
+class TestMalformedArtifacts:
+    """A stage artifact that is malformed exits 2 with BadInput naming it, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "stage, artifact, edit, fragment",
+        [
+            *[pytest.param(stage, GROUNDED_FILE, lambda row: _without(row, "task_id"),
+                           "missing key 'task_id'", id=f"{stage}-grounded-no-task_id")
+              for stage in ("stats", "train", "losses", "eval")],
+            pytest.param("train", GROUNDED_FILE, lambda row: {**row, "step_ids": ["a"]},
+                         "invalid literal", id="train-grounded-step-a"),
+            pytest.param("graph", DECODED_FILE, lambda row: {**row, "steps": ["a"]},
+                         "invalid literal", id="graph-decoded-step-a"),
+            pytest.param("graph", DECODED_FILE, lambda row: _without(row, "steps"),
+                         "missing key 'steps'", id="graph-decoded-no-steps"),
+            pytest.param("decode", GROUNDED_LIBRARY_FILE, lambda data: _without(data, "steps"),
+                         "missing key 'steps'", id="decode-library-no-steps"),
+            pytest.param("decode", MODEL_FILE, lambda data: [1, 2], "list indices",
+                         id="decode-model-list"),
+        ],
+    )
+    def test_bad_artifact_reports_bad_input(
+        self, finished_run, tmp_path, capsys, stage, artifact, edit, fragment
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        path = out / artifact
+        if artifact.endswith(".jsonl"):
+            # Edit the first row: the message names path:1.
+            first, *rest = path.read_text(encoding="utf-8").splitlines()
+            lines = [json.dumps(edit(json.loads(first))), *rest]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            where = f"{path}:1: "
+        else:
+            path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))),
+                            encoding="utf-8")
+            where = f"{path}: "
+        capsys.readouterr()
+        code = run_command([stage, "--config", str(finished_run / "settings.cfg"),
+                            "--out-dir", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(where)
+        assert fragment in err["message"]
+
+    def test_artifact_that_is_not_json_reports_bad_input(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        (out / MODEL_FILE).write_text("{oops", encoding="utf-8")
+        capsys.readouterr()
+        code = run_command(["decode", "--config", str(finished_run / "settings.cfg"),
+                            "--out-dir", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(f"{out / MODEL_FILE}: not valid JSON")

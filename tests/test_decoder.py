@@ -10,9 +10,10 @@ from scriptweave.decoder import (
     build_prefix_trie,
     constrained_beam_search,
     decoded_to_rows,
-    rows_to_decoded,
+    load_decoded,
 )
-from scriptweave.errors import EmptyLibrary, NoCompletion
+from scriptweave.errors import BadInput, EmptyLibrary, NoCompletion
+from scriptweave.jsonio import write_jsonl
 from scriptweave.pathmodel import PathModelConfig, sequence_nll, train_path_model
 
 
@@ -114,11 +115,26 @@ class TestBeamSearch:
 
 
 class TestDecodedRows:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         results = [([0, 2, 1], -1.25), ([], -0.5)]
         rows = decoded_to_rows("t1", results)
         assert rows == [
             {"task_id": "t1", "steps": [0, 2, 1], "logprob": -1.25},
             {"task_id": "t1", "steps": [], "logprob": -0.5},
         ]
-        assert rows_to_decoded(rows) == results
+        write_jsonl(rows, tmp_path / "decoded.jsonl")
+        assert load_decoded(tmp_path / "decoded.jsonl") == results
+
+    @pytest.mark.parametrize(
+        "row, fragment",
+        [
+            ({"task_id": "t1", "steps": [0]}, "missing key 'logprob'"),
+            ([0, 1], "list indices"),
+        ],
+    )
+    def test_malformed_row_is_bad_input_naming_the_line(self, tmp_path, row, fragment):
+        path = tmp_path / "decoded.jsonl"
+        write_jsonl([{"task_id": "t1", "steps": [0], "logprob": -1.0}, row], path)
+        with pytest.raises(BadInput, match=fragment) as info:
+            load_decoded(path)
+        assert str(info.value).startswith(f"{path}:2: ")

@@ -22,12 +22,15 @@ from scriptweave.grounding import (
 
 
 class StubProvider:
-    """Similarity read from an explicit symmetric table; unknown pairs score 0."""
+    """Similarity read from an explicit symmetric table; unknown pairs score 0.
+    Every call is recorded in calls."""
 
     def __init__(self, table=None):
         self.table = dict(table or {})
+        self.calls = []
 
     def similarity(self, a, b):
+        self.calls.append((a, b))
         if (a, b) in self.table:
             return self.table[(a, b)]
         if (b, a) in self.table:
@@ -435,3 +438,28 @@ class TestGroundedJson:
             "dropped": 1,
         }
         assert grounded_from_json(row) == GroundedSequence("v1", "t1", [0], [0.9], 1)
+
+
+class TestOneCallPerPair:
+    """Grounding asks the provider once per (text, step) pair, repeats included."""
+
+    def test_labelled_scores_items_times_steps(self):
+        library = make_library(["w1", "w2", "w3"])
+        # Repeated annotations are scored again: a provider may memoise, grounding does not.
+        record = labelled_record(["alpha", "beta", "alpha", "gamma"])
+        provider = StubProvider({("alpha", "w1"): 0.9, ("beta", "w2"): 0.8})
+        ground_labelled_sequence(record, library, provider)
+        assert provider.calls == [
+            (text, step) for text in ["alpha", "beta", "alpha", "gamma"]
+            for step in ["w1", "w2", "w3"]
+        ]
+
+    def test_asr_scores_pieces_times_steps(self):
+        cfg = GroundingConfig(asr_min_words=1)
+        library = make_library(["w1", "w2"])
+        record = asr_record(["alpha one", "please subscribe now", "beta two", "alpha one"])
+        pieces = preprocess_asr([item.text for item in record.items], cfg)
+        assert pieces == ["alpha one", "beta two", "alpha one"]
+        provider = StubProvider({("alpha one", "w1"): 0.9, ("beta two", "w2"): 0.8})
+        ground_asr_sequence(record, library, provider, cfg)
+        assert provider.calls == [(piece, step) for piece in pieces for step in ["w1", "w2"]]

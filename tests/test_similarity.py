@@ -218,6 +218,24 @@ _CALLS = st.lists(
 )
 
 
+# A small pool, so generated call sequences repeat pairs: overlapping texts,
+# texts disjoint from the rest, empty and punctuation-only texts, and texts
+# with identical weights in another word order.
+_POOL = st.sampled_from(
+    [
+        "add the sugar",
+        "sugar the add",
+        "stir the sugar",
+        "the the sugar sugar",
+        "squeeze the lemons into a pitcher",
+        "zzqx widget",
+        "widget",
+        "",
+        "...",
+    ]
+)
+
+
 class TestTfidfMemo:
     @settings(max_examples=150, deadline=None)
     @given(calls=_CALLS)
@@ -231,6 +249,23 @@ class TestTfidfMemo:
             else:
                 got, want = provider.embed(args), fresh.embed(args)
                 assert [[x.hex() for x in v] for v in got] == [[x.hex() for x in v] for v in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(_POOL, _POOL), min_size=1, max_size=40))
+    def test_repeated_pairs_match_uncached_scoring(self, pairs):
+        provider = TfidfSimilarity(CORPUS)
+        for a, b in pairs:
+            assert provider.similarity(a, b).hex() == uncached_similarity(CORPUS, a, b).hex()
+
+    def test_each_pair_is_scored_once(self, monkeypatch):
+        provider = TfidfSimilarity(CORPUS)
+        scored = []
+        score = provider._score
+        monkeypatch.setattr(provider, "_score", lambda a, b: scored.append((a, b)) or score(a, b))
+        pairs = [("add the sugar", "stir the sugar"), ("stir the sugar", "add the sugar")]
+        for a, b in pairs * 3:
+            provider.similarity(a, b)
+        assert scored == pairs
 
     def test_embedded_vectors_are_read_only(self):
         provider = TfidfSimilarity(CORPUS)
