@@ -26,20 +26,17 @@ only a stage with embedding_url set loads it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpuslib
 from .contrastive import (
     ContrastiveBatch,
     LossConfig,
-    MixtureWeights,
     NegativeGenConfig,
     curriculum_mixture,
     draw_negative_method,
@@ -67,7 +64,7 @@ from .evalharness import (
     model_predict_next,
     next_step_metrics,
 )
-from .graphgen import classify_relations, export_graph, induce_graph, save_graph
+from .graphgen import PRUNE_THRESHOLD, classify_relations, export_graph, induce_graph, save_graph
 from .grounding import (
     GroundingConfig,
     ground_asr_sequence,
@@ -81,6 +78,7 @@ from .grounding import (
 # read_jsonl stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_jsonl, write_json, write_jsonl  # noqa: F401
 from .pathmodel import PathModelConfig, load_model, save_model, sequence_nll, train_path_model
+from .record import Record
 from .similarity import HttpEmbeddingProvider, TfidfSimilarity
 
 ENV_PREFIX = "SCRIPTWEAVE_"
@@ -98,77 +96,75 @@ METRICS_JSON_FILE = "metrics.json"
 METRICS_TEXT_FILE = "metrics.txt"
 
 
-@dataclass
-class PipelineConfig:
-    """Every tunable the pipeline understands, with its default."""
-
-    tasks_path: str | None = None
-    docs_path: str | None = None
-    corpus_path: str | None = None
-    out_dir: str = "out"
-    seed: int | None = None
-    task: str | None = None
-    embedding_url: str | None = None
-    embedding_timeout: float = 10.0
+# Every setting, in PipelineConfig's positional order, with the type a
+# config file, the environment or a flag must give it.
+SETTING_TYPES = {
+    "tasks_path": str, "docs_path": str, "corpus_path": str, "out_dir": str, "seed": int,
+    "task": str, "embedding_url": str, "embedding_timeout": float,
     # step library / grounding
-    top_m_docs: int = 10
-    keyword_threshold: float = 0.85
-    relaxed_keyword_threshold: float = 0.75
-    k1: float = 0.35
-    k2: float = 0.75
-    k3: float = 0.40
-    asr_min_words: int = 10
-    stop_words: tuple[str, ...] = ("subscribe", "channel", "sponsor")
-    prune_unused: bool = True
+    "top_m_docs": int, "keyword_threshold": float, "relaxed_keyword_threshold": float,
+    "k1": float, "k2": float, "k3": float, "asr_min_words": int, "stop_words": tuple,
+    "prune_unused": bool,
     # corpus statistics
-    frequency_threshold: int = 10
+    "frequency_threshold": int,
     # path model
-    order: int = 2
-    smoothing_lambda: float = 0.1
+    "order": int, "smoothing_lambda": float,
     # losses
-    epoch: int = 0
-    num_negatives: int = 3
-    max_shuffle_attempts: int = 100
-    temperature: float = 0.1
-    alpha: float = 1.0
+    "epoch": int, "num_negatives": int, "max_shuffle_attempts": int,
+    "temperature": float, "alpha": float,
     # decoding / graph
-    beam_width: int = 40
-    max_steps: int | None = None
-    prune_threshold: float = 0.175
+    "beam_width": int, "max_steps": int, "prune_threshold": float,
     # evaluation
-    train_fraction: float = 0.40
+    "train_fraction": float,
+}
+_SUBCONFIGS = (GroundingConfig, PathModelConfig, DecodeConfig, NegativeGenConfig, LossConfig)
 
-    # Sub-configs, built once from the fields above so that an out-of-range
-    # value fails as BadConfig when the settings are merged, not mid-stage.
-    grounding: GroundingConfig = field(init=False, repr=False, compare=False)
-    pathmodel: PathModelConfig = field(init=False, repr=False, compare=False)
-    decode: DecodeConfig = field(init=False, repr=False, compare=False)
-    negatives: NegativeGenConfig = field(init=False, repr=False, compare=False)
-    loss: LossConfig = field(init=False, repr=False, compare=False)
-    mixture: MixtureWeights = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+def _setting_defaults() -> dict:
+    """Each setting's default: a sub-config's own where one takes the setting, else None."""
+    defaults = {
+        "out_dir": "out", "embedding_timeout": 10.0, "prune_unused": True,
+        "frequency_threshold": 10, "epoch": 0, "prune_threshold": PRUNE_THRESHOLD,
+        "train_fraction": 0.40,
+    }
+    for subconfig in _SUBCONFIGS:
+        defaults.update(vars(subconfig()))
+    return {name: defaults.get(name) for name in SETTING_TYPES}
+
+
+SETTING_DEFAULTS = _setting_defaults()
+
+
+class PipelineConfig(Record):
+    """Every setting in SETTING_TYPES, by keyword or in that order, each
+    defaulting to SETTING_DEFAULTS.
+
+    The sub-configs are built once from the settings, so that an
+    out-of-range value fails as BadConfig when the settings are merged,
+    not mid-stage.
+    """
+
+    _fields = tuple(SETTING_TYPES)
+
+    def __init__(self, *args, **settings):
+        if len(args) > len(self._fields):
+            raise TypeError(f"PipelineConfig takes at most {len(self._fields)} positional settings")
+        for name, value in zip(self._fields, args):
+            if name in settings:
+                raise TypeError(f"PipelineConfig got multiple values for setting {name!r}")
+            settings[name] = value
+        unknown = sorted(settings.keys() - SETTING_DEFAULTS.keys())
+        if unknown:
+            raise TypeError(f"PipelineConfig got unknown settings {unknown}")
+        for name, default in SETTING_DEFAULTS.items():
+            setattr(self, name, settings.get(name, default))
         try:
-            self.grounding = GroundingConfig(
-                top_m_docs=self.top_m_docs,
-                keyword_threshold=self.keyword_threshold,
-                relaxed_keyword_threshold=self.relaxed_keyword_threshold,
-                k1=self.k1,
-                k2=self.k2,
-                k3=self.k3,
-                asr_min_words=self.asr_min_words,
-                stop_words=tuple(self.stop_words),
-            )
-            self.pathmodel = PathModelConfig(
-                order=self.order, smoothing_lambda=self.smoothing_lambda
-            )
-            self.decode = DecodeConfig(beam_width=self.beam_width, max_steps=self.max_steps)
-            self.negatives = NegativeGenConfig(
-                num_negatives=self.num_negatives,
-                max_shuffle_attempts=self.max_shuffle_attempts,
-                rng_seed=self.seed if self.seed is not None else 0,
-            )
-            self.loss = LossConfig(temperature=self.temperature, alpha=self.alpha)
+            self.grounding = GroundingConfig(**self._settings_of(GroundingConfig))
+            self.pathmodel = PathModelConfig(**self._settings_of(PathModelConfig))
+            self.decode = DecodeConfig(**self._settings_of(DecodeConfig))
+            negatives = self._settings_of(NegativeGenConfig)
+            self.negatives = NegativeGenConfig(**negatives, rng_seed=self.seed or 0)
+            self.loss = LossConfig(**self._settings_of(LossConfig))
             self.mixture = curriculum_mixture(self.epoch)
             if self.embedding_timeout <= 0:
                 raise ValueError("embedding_timeout must be positive")
@@ -177,35 +173,15 @@ class PipelineConfig:
         except ValueError as exc:
             raise BadConfig(f"invalid setting: {exc}") from None
 
+    def _settings_of(self, subconfig) -> dict:
+        """This config's values of the settings that subconfig takes."""
+        return {name: getattr(self, name) for name in subconfig._fields if name in SETTING_TYPES}
 
-_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.init}
-_INT_FIELDS = {
-    "seed",
-    "top_m_docs",
-    "asr_min_words",
-    "frequency_threshold",
-    "order",
-    "epoch",
-    "num_negatives",
-    "max_shuffle_attempts",
-    "beam_width",
-    "max_steps",
+
+_EXPECTED = {
+    bool: "true or false", int: "an integer", float: "a number",
+    tuple: "a list of strings", str: "a string",
 }
-_FLOAT_FIELDS = {
-    "embedding_timeout",
-    "keyword_threshold",
-    "relaxed_keyword_threshold",
-    "k1",
-    "k2",
-    "k3",
-    "smoothing_lambda",
-    "temperature",
-    "alpha",
-    "prune_threshold",
-    "train_fraction",
-}
-_BOOL_FIELDS = {"prune_unused"}
-_LIST_FIELDS = {"stop_words"}
 
 
 def _parse_setting(raw: str):
@@ -218,29 +194,21 @@ def _parse_setting(raw: str):
 
 
 def _coerce(key: str, value):
-    if key not in _FIELDS:
+    """value checked against the setting's type; null only where the default is None."""
+    kind = SETTING_TYPES.get(key)
+    if kind is None:
         raise BadConfig(f"unknown setting {key!r}")
-    if value is None:
+    if value is None and SETTING_DEFAULTS[key] is None:
         return None
-    if key in _BOOL_FIELDS:
-        if isinstance(value, bool):
-            return value
-        raise BadConfig(f"setting {key!r} must be true or false, got {value!r}")
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise BadConfig(f"setting {key!r} must be an integer, got {value!r}")
-        return value
-    if key in _FLOAT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise BadConfig(f"setting {key!r} must be a number, got {value!r}")
-        return float(value)
-    if key in _LIST_FIELDS:
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-            raise BadConfig(f"setting {key!r} must be a list of strings, got {value!r}")
-        return tuple(value)
-    if not isinstance(value, str):
-        raise BadConfig(f"setting {key!r} must be a string, got {value!r}")
-    return value
+    if kind is tuple:
+        valid = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    elif kind is float:
+        valid = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        valid = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not valid:
+        raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {value!r}")
+    return kind(value) if kind in (float, tuple) else value
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -267,7 +235,7 @@ def read_config_file(path: str | Path) -> dict:
 def _env_settings(environ=None) -> dict:
     environ = os.environ if environ is None else environ
     settings = {}
-    for key in _FIELDS:
+    for key in SETTING_TYPES:
         raw = environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             settings[key] = _coerce(key, _parse_setting(raw))
@@ -280,7 +248,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
     merged.update(_env_settings())
-    for key in _FIELDS:
+    for key in SETTING_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)

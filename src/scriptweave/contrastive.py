@@ -11,48 +11,47 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .corpus import StepLibrary
 from .errors import DegenerateInput, EmptySequence, UnknownStep
+from .record import Record
 from .similarity import SimilarityProvider, cosine
 
 NEGATIVE_METHODS = ("resample", "shuffle", "cutswap")
 
 
-@dataclass
-class NegativeGenConfig:
-    num_negatives: int = 3
-    max_shuffle_attempts: int = 100
-    rng_seed: int = 0
+class NegativeGenConfig(Record):
+    _fields = ("num_negatives", "max_shuffle_attempts", "rng_seed")
 
-    def __post_init__(self):
-        if self.num_negatives < 0:
+    def __init__(self, num_negatives: int = 3, max_shuffle_attempts: int = 100, rng_seed: int = 0):
+        self.num_negatives, self.rng_seed = num_negatives, rng_seed
+        self.max_shuffle_attempts = max_shuffle_attempts
+        if num_negatives < 0:
             raise ValueError("num_negatives must be non-negative")
-        if self.max_shuffle_attempts < 1:
+        if max_shuffle_attempts < 1:
             raise ValueError("max_shuffle_attempts must be at least 1")
 
 
-@dataclass
-class LossConfig:
-    temperature: float = 0.1
-    alpha: float = 1.0
+class LossConfig(Record):
+    _fields = ("temperature", "alpha")
 
-    def __post_init__(self):
-        if self.temperature <= 0:
+    def __init__(self, temperature: float = 0.1, alpha: float = 1.0):
+        self.temperature, self.alpha = temperature, alpha
+        if temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.alpha < 0:
+        if alpha < 0:
             raise ValueError("alpha must be non-negative")
 
 
-@dataclass
-class ContrastiveBatch:
+class ContrastiveBatch(Record):
     """Embeddings for one loss evaluation: generated, positive, negatives."""
 
-    z_generated: Sequence[float]
-    z_positive: Sequence[float]
-    z_negatives: list[Sequence[float]] = field(default_factory=list)
+    _fields = ("z_generated", "z_positive", "z_negatives")
+
+    def __init__(self, z_generated: Sequence[float], z_positive: Sequence[float], z_negatives=None):
+        self.z_generated, self.z_positive = z_generated, z_positive
+        self.z_negatives = [] if z_negatives is None else z_negatives
 
 
 class MixtureWeights(NamedTuple):

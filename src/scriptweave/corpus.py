@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import BadInput, EmptyCorpus, EmptyStep, NoDocuments, UnknownStep
 from .jsonio import read_json, read_jsonl, write_json
+from .record import Record
 
 # Kept candidates must differ by at least this normalized edit distance.
 DEDUP_DISTANCE = 0.1
@@ -150,26 +150,33 @@ def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]
     return kept, mapping
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class _TaskFields(NamedTuple):
     task_id: str
     task_name: str
     category: str | None = None
 
-    def __post_init__(self):
+
+class TaskSpec(_TaskFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.task_id or not self.task_name:
             raise ValueError("task_id and task_name must be non-empty")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     step_id: int
     raw_text: str
     normalized_text: str
 
 
-@dataclass
-class StepLibrary:
+class StepLibrary(Record):
     """Deduplicated canonical steps for one task.
 
     source_docs records (title, score) per contributing document, where the
@@ -179,10 +186,12 @@ class StepLibrary:
     evaluation harness consumes these.
     """
 
-    task_id: str
-    steps: list[Step]
-    source_docs: list[tuple[str, float]] = field(default_factory=list)
-    doc_sequences: list[list[int]] = field(default_factory=list)
+    _fields = ("task_id", "steps", "source_docs", "doc_sequences")
+
+    def __init__(self, task_id: str, steps: list[Step], source_docs=None, doc_sequences=None):
+        self.task_id, self.steps = task_id, steps
+        self.source_docs = [] if source_docs is None else source_docs
+        self.doc_sequences = [] if doc_sequences is None else doc_sequences
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -205,7 +214,10 @@ class StepLibrary:
     def validate(self) -> None:
         for i, step in enumerate(self.steps):
             if step.step_id != i:
-                raise ValueError(f"step ids must be contiguous from 0, got {step.step_id} at {i}")
+                raise ValueError(f"step ids must be contiguous from 0, got {step.step_id!r} at {i}")
+        stray = [s for seq in self.doc_sequences for s in seq if not self.has(s)]
+        if stray:
+            raise ValueError(f"document step id {stray[0]!r} not in the library")
         texts = self.texts()
         for i in range(len(texts)):
             for j in range(i + 1, len(texts)):
@@ -268,22 +280,21 @@ def build_step_library(
     return StepLibrary(task.task_id, steps, source_docs, doc_sequences)
 
 
-@dataclass(frozen=True)
-class SequenceItem:
+class SequenceItem(NamedTuple):
     text: str
     start: float | None = None
     end: float | None = None
 
 
-@dataclass
-class RawSequenceRecord:
+class RawSequenceRecord(Record):
     """One video's observed items, either annotations or ASR pieces."""
 
-    video_id: str
-    task_id: str
-    kind: str  # "labelled" or "asr"
-    items: list[SequenceItem]
-    title: str | None = None
+    _fields = ("video_id", "task_id", "kind", "items", "title")
+
+    def __init__(self, video_id: str, task_id: str, kind: str, items: list, title=None):
+        self.video_id, self.task_id = video_id, task_id
+        self.kind = kind  # "labelled" or "asr"
+        self.items, self.title = items, title
 
     def validate(self) -> None:
         if self.kind not in ("labelled", "asr"):
@@ -300,8 +311,7 @@ class RawSequenceRecord:
                 raise ValueError(f"record {self.video_id!r} has end before start")
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Ordering statistics over grounded sequences.
 
     mean_frequent_next_steps averages over steps that have at least one
@@ -363,13 +373,28 @@ def _both_orders(pair: frozenset) -> list[tuple[int, int]]:
 
 
 def parse_checked(where: str, parse: Callable, value):
-    """parse(value); a KeyError, TypeError or ValueError it raises is BadInput naming where."""
+    """parse(value); a KeyError, AttributeError, TypeError or ValueError it
+    raises (a missing key or a value of the wrong type) is BadInput naming where."""
     try:
         return parse(value)
     except KeyError as exc:
         raise BadInput(f"{where}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise BadInput(f"{where}: {exc}") from None
+
+
+def checked_int(value) -> int:
+    """value when it is a JSON integer; a boolean, float or string is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"invalid literal for an integer: {value!r}")
+    return value
+
+
+def checked_float(value) -> float:
+    """value as a float when it is a JSON number; a boolean or string is a ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def parse_rows(path: str | Path, parse: Callable) -> list:
@@ -436,13 +461,14 @@ def library_to_json(library: StepLibrary) -> dict:
 
 def _library(data: dict) -> StepLibrary:
     steps = [
-        Step(row["step_id"], row["raw_text"], row["normalized_text"]) for row in data["steps"]
+        Step(checked_int(row["step_id"]), row["raw_text"], row["normalized_text"])
+        for row in data["steps"]
     ]
     return StepLibrary(
         data["task_id"],
         steps,
-        [(title, float(score)) for title, score in data.get("source_docs", [])],
-        [list(seq) for seq in data.get("doc_sequences", [])],
+        [(title, checked_float(score)) for title, score in data.get("source_docs", [])],
+        [[checked_int(s) for s in seq] for seq in data.get("doc_sequences", [])],
     )
 
 
@@ -457,11 +483,8 @@ def save_library(library: StepLibrary, path: str | Path) -> None:
 
 
 def load_library(path: str | Path) -> StepLibrary:
-    """A malformed file is BadInput naming the path; a library that parses
-    but fails validation raises as library_from_json does."""
-    library = parse_checked(str(path), _library, read_json(path))
-    library.validate()
-    return library
+    """A malformed file, or a library that fails validation, is BadInput naming the path."""
+    return parse_checked(str(path), library_from_json, read_json(path))
 
 
 def stats_to_json(stats: CorpusStats) -> dict:

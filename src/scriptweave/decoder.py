@@ -10,23 +10,22 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
-from .corpus import StepLibrary, parse_rows
+from .corpus import StepLibrary, checked_float, checked_int, parse_rows
 from .errors import EmptyLibrary, NoCompletion
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, next_step_distribution  # noqa: F401
+from .record import Record
 
 
-@dataclass
-class DecodeConfig:
-    beam_width: int = 40
-    max_steps: int | None = None  # None: twice the library size
+class DecodeConfig(Record):
+    _fields = ("beam_width", "max_steps")
 
-    def __post_init__(self):
-        if self.beam_width < 1:
+    def __init__(self, beam_width: int = 40, max_steps: int | None = None):
+        self.beam_width, self.max_steps = beam_width, max_steps  # max_steps None: 2 * library size
+        if beam_width < 1:
             raise ValueError("beam_width must be at least 1")
-        if self.max_steps is not None and self.max_steps < 0:
+        if max_steps is not None and max_steps < 0:
             raise ValueError("max_steps must be non-negative")
 
 
@@ -120,7 +119,7 @@ def decoded_to_rows(task_id: str, results) -> list[dict]:
 
 
 def _decoded(row) -> tuple[list[int], float]:
-    return [int(s) for s in row["steps"]], float(row["logprob"])
+    return [checked_int(s) for s in row["steps"]], checked_float(row["logprob"])
 
 
 def load_decoded(path) -> list[tuple[list[int], float]]:

@@ -15,7 +15,6 @@ completion and normalized by the longer of the two sequences.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import StepLibrary, levenshtein
@@ -23,19 +22,23 @@ from .errors import LengthMismatch, MissingLinearData, TooFewSequences
 from .grounding import GroundedSequence
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, check_steps, next_step_distribution  # noqa: F401
+from .record import Record
 
 
-@dataclass
-class EvalExample:
-    prefix: tuple[int, ...]
-    gold_next: set[int] = field(default_factory=set)
-    gold_completions: set[tuple[int, ...]] = field(default_factory=set)
+class EvalExample(Record):
+    _fields = ("prefix", "gold_next", "gold_completions")
+
+    def __init__(self, prefix: tuple[int, ...], gold_next=None, gold_completions=None):
+        self.prefix = prefix
+        self.gold_next = set() if gold_next is None else gold_next
+        self.gold_completions = set() if gold_completions is None else gold_completions
 
 
-@dataclass
-class EvalSplit:
-    train: list[GroundedSequence]
-    test_examples: list[EvalExample]
+class EvalSplit(Record):
+    _fields = ("train", "test_examples")
+
+    def __init__(self, train: list[GroundedSequence], test_examples: list[EvalExample]):
+        self.train, self.test_examples = train, test_examples
 
 
 def build_eval_splits(

@@ -10,27 +10,25 @@ exported as DOT or JSON.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import StepLibrary
 from .errors import EmptyInput, UnsupportedFormat
 from .jsonio import read_json, write_json
 from .pathmodel import END, START
+from .record import Record
 
 PRUNE_THRESHOLD = 0.175
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     src: int
     dst: int
     weight: float
     count: int
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """kind is sequential, interchangeable, or optional.
 
     steps holds (earlier, later) for sequential, the unordered pair
@@ -42,14 +40,18 @@ class Relation:
     steps: tuple[int, ...]
 
 
-@dataclass
-class GraphScript:
-    task_id: str
-    nodes: list[int]  # non-virtual step ids; START/END are implicit
-    edges: list[GraphEdge]
-    num_paths: int
-    relations: list[Relation] = field(default_factory=list)
-    labels: dict[int, str] = field(default_factory=dict)
+class GraphScript(Record):
+    _fields = ("task_id", "nodes", "edges", "num_paths", "relations", "labels")
+
+    def __init__(
+        self, task_id: str, nodes: list[int], edges: list[GraphEdge], num_paths: int,
+        relations: list[Relation] | None = None, labels: dict[int, str] | None = None,
+    ):
+        self.task_id, self.num_paths = task_id, num_paths
+        self.nodes = nodes  # non-virtual step ids; START/END are implicit
+        self.edges = edges
+        self.relations = [] if relations is None else relations
+        self.labels = {} if labels is None else labels
 
 
 def induce_graph(

@@ -8,13 +8,14 @@ objects whose step ids index the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import RawSequenceRecord, Step, StepLibrary, TaskSpec, parse_rows
+from .corpus import RawSequenceRecord, Step, StepLibrary, TaskSpec
+from .corpus import checked_float, checked_int, parse_rows
 from .errors import EmptySequence, NoDocuments
 # read_jsonl stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_jsonl, write_jsonl  # noqa: F401
+from .record import Record
 from .similarity import SimilarityProvider, tokenize
 
 # Generic words ignored when extracting task-name keywords.
@@ -23,8 +24,7 @@ _KEYWORD_STOPWORDS = frozenset(
 )
 
 
-@dataclass
-class GroundingConfig:
+class GroundingConfig(Record):
     """Thresholds for document matching and sequence grounding.
 
     keyword_threshold is the fraction of task-name keywords a document
@@ -34,38 +34,45 @@ class GroundingConfig:
     individual transcript pieces.
     """
 
-    top_m_docs: int = 10
-    keyword_threshold: float = 0.85
-    relaxed_keyword_threshold: float = 0.75
-    k1: float = 0.35
-    k2: float = 0.75
-    k3: float = 0.40
-    asr_min_words: int = 10
-    stop_words: tuple[str, ...] = ("subscribe", "channel", "sponsor")
+    _fields = (
+        "top_m_docs", "keyword_threshold", "relaxed_keyword_threshold",
+        "k1", "k2", "k3", "asr_min_words", "stop_words",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        top_m_docs: int = 10,
+        keyword_threshold: float = 0.85,
+        relaxed_keyword_threshold: float = 0.75,
+        k1: float = 0.35,
+        k2: float = 0.75,
+        k3: float = 0.40,
+        asr_min_words: int = 10,
+        stop_words: Sequence[str] = ("subscribe", "channel", "sponsor"),
+    ):
+        self.top_m_docs, self.asr_min_words = top_m_docs, asr_min_words
+        self.keyword_threshold = keyword_threshold
+        self.relaxed_keyword_threshold = relaxed_keyword_threshold
+        self.k1, self.k2, self.k3 = k1, k2, k3
         for name in ("keyword_threshold", "relaxed_keyword_threshold", "k1", "k2", "k3"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.top_m_docs < 1:
+        if top_m_docs < 1:
             raise ValueError("top_m_docs must be at least 1")
-        if self.asr_min_words < 1:
+        if asr_min_words < 1:
             raise ValueError("asr_min_words must be at least 1")
-        self.stop_words = tuple(self.stop_words)
+        self.stop_words = tuple(stop_words)
 
 
-@dataclass
-class GroundedSequence:
+class GroundedSequence(Record):
     """One video rendered as an ordered list of distinct library step ids."""
 
-    video_id: str
-    task_id: str
-    step_ids: list[int]
-    scores: list[float]
-    dropped: int = 0
+    _fields = ("video_id", "task_id", "step_ids", "scores", "dropped")
 
-    def __post_init__(self):
+    def __init__(self, video_id: str, task_id: str, step_ids: list[int], scores: list, dropped=0):
+        self.video_id, self.task_id = video_id, task_id
+        self.step_ids, self.scores, self.dropped = step_ids, scores, dropped
         if not self.step_ids:
             raise EmptySequence(f"video {self.video_id!r} grounded to an empty sequence")
         if len(set(self.step_ids)) != len(self.step_ids):
@@ -310,9 +317,9 @@ def grounded_from_json(row: dict) -> GroundedSequence:
     return GroundedSequence(
         row["video_id"],
         row["task_id"],
-        [int(s) for s in row["step_ids"]],
-        [float(s) for s in row["scores"]],
-        int(row.get("dropped", 0)),
+        [checked_int(s) for s in row["step_ids"]],
+        [checked_float(s) for s in row["scores"]],
+        checked_int(row.get("dropped", 0)),
     )
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import StepLibrary, parse_checked
+from .corpus import StepLibrary, checked_float, checked_int, parse_checked
 from .errors import EmptyCorpus, UnknownStep
 from .jsonio import read_json, write_json
+from .record import Record
 
 START = -1
 END = -2
@@ -29,25 +29,25 @@ END = -2
 Row = tuple[float, ...]
 
 
-@dataclass
-class PathModelConfig:
-    order: int = 2
-    smoothing_lambda: float = 0.1
+class PathModelConfig(Record):
+    _fields = ("order", "smoothing_lambda")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int = 2, smoothing_lambda: float = 0.1):
+        self.order, self.smoothing_lambda = order, smoothing_lambda
+        if order < 1:
             raise ValueError("order must be at least 1")
-        if self.smoothing_lambda < 0:
+        if smoothing_lambda < 0:
             raise ValueError("smoothing_lambda must be non-negative")
 
 
-@dataclass
-class PathModel:
-    library: StepLibrary
-    config: PathModelConfig
-    counts: dict[tuple[int, ...], Counter]
-    totals: dict[tuple[int, ...], int]
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class PathModel(Record):
+    _fields = ("library", "config", "counts", "totals")
+
+    def __init__(self, library: StepLibrary, config: PathModelConfig, counts: dict, totals: dict):
+        self.library, self.config = library, config
+        self.counts = counts  # context tuple -> Counter of next step ids (END included)
+        self.totals = totals  # context tuple -> sum of its counts
+        self._rows: dict = {}  # context -> (prob, logprob) rows, filled by rows()
 
     @property
     def vocabulary_size(self) -> int:
@@ -169,18 +169,27 @@ def model_to_json(model: PathModel) -> dict:
 def model_from_json(data: dict, library: StepLibrary) -> PathModel:
     """Rebuild a model; START outside a context, END outside the next steps,
     or any other id not in the library is UnknownStep."""
-    cfg = PathModelConfig(order=int(data["order"]), smoothing_lambda=float(data["lambda"]))
+    cfg = PathModelConfig(checked_int(data["order"]), checked_float(data["lambda"]))
     counts: dict[tuple[int, ...], Counter] = {}
     for entry in data["contexts"]:
-        ctx = tuple(int(t) for t in entry["ctx"])
+        ctx = tuple(checked_int(t) for t in entry["ctx"])
         check_steps([t for t in ctx if t != START], library)
-        check_steps([int(key) for key in entry["counts"] if key != "END"], library)
+        check_steps([_step_key(key) for key in entry["counts"] if key != "END"], library)
         counter: Counter = Counter()
         for key, value in entry["counts"].items():
-            counter[END if key == "END" else int(key)] = int(value)
+            if checked_int(value) < 0:
+                raise ValueError(f"negative count {value} in context {list(ctx)}")
+            counter[END if key == "END" else int(key)] = value
         counts[ctx] = counter
     totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
     return PathModel(library, cfg, counts, totals)
+
+
+def _step_key(key: str) -> int:
+    """The step id a count key spells as a plain decimal integer."""
+    if str(int(key)) != key:
+        raise ValueError(f"invalid literal for a step id: {key!r}")
+    return int(key)
 
 
 def save_model(model: PathModel, path) -> None:

@@ -286,13 +286,13 @@ class TestPipeline:
 
 # Runs the stages given as JSON argv lists in one fresh interpreter in which
 # numpy cannot be imported, and prints, after the import and after each
-# stage, which HTTP-client modules it has loaded that the bare interpreter
-# had not (or the stage's exit code).
+# stage, which heavy modules (the HTTP client, dataclasses, inspect) it has
+# loaded that the bare interpreter had not (or the stage's exit code).
 _FOOTPRINT_SCRIPT = """
 import json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 before = set(sys.modules)
-heavy = lambda: [m for m in ("urllib.request", "http.client")
+heavy = lambda: [m for m in ("urllib.request", "http.client", "dataclasses", "inspect")
                  if m in sys.modules and m not in before]
 from scriptweave.cli import run_command
 loaded = {"import": heavy()}
@@ -316,8 +316,8 @@ def heavy_modules_loaded(argvs):
 
 
 class TestImportFootprint:
-    """Each stage is its own process: no stage loads numpy, and only an
-    embedding URL loads the HTTP client."""
+    """Each stage is its own process: no stage loads numpy, dataclasses or
+    inspect, and only an embedding URL loads the HTTP client."""
 
     def test_no_stage_loads_numpy(self, workspace):
         for argv in pipeline_argvs(workspace, workspace / "out"):
@@ -404,6 +404,15 @@ class TestConfigFileParsing:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(BadConfig):
             read_config_file(tmp_path / "absent.cfg")
+
+    def test_null_only_where_the_default_is_none(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("max_steps = null\ntask = null\n")
+        assert read_config_file(path) == {"max_steps": None, "task": None}
+        for line in ("k1 = null", "stop_words = null", "out_dir = null", "prune_unused = null"):
+            path.write_text(line + "\n")
+            with pytest.raises(BadConfig, match="got None"):
+                read_config_file(path)
 
 
 class TestErrorReporting:
@@ -540,6 +549,19 @@ def _without(value, key):
     return value
 
 
+def _with_step(data, index, key, value):
+    """A copy of a library artifact with one field of one step replaced."""
+    steps = [dict(step) for step in data["steps"]]
+    steps[index][key] = value
+    return {**data, "steps": steps}
+
+
+def _with_first_count(data, key, value):
+    """A copy of a model artifact whose first context counts key: value."""
+    first = {**data["contexts"][0], "counts": {key: value}}
+    return {**data, "contexts": [first, *data["contexts"][1:]]}
+
+
 class TestMalformedArtifacts:
     """A stage artifact that is malformed exits 2 with BadInput naming it, never a traceback."""
 
@@ -559,6 +581,54 @@ class TestMalformedArtifacts:
                          "missing key 'steps'", id="decode-library-no-steps"),
             pytest.param("decode", MODEL_FILE, lambda data: [1, 2], "list indices",
                          id="decode-model-list"),
+            pytest.param("train", GROUNDED_LIBRARY_FILE,
+                         lambda data: _with_step(data, 0, "step_id", "0"),
+                         "'0'", id="train-library-string-step-id"),
+            pytest.param("train", GROUNDED_LIBRARY_FILE,
+                         lambda data: _with_step(data, 1, "normalized_text",
+                                                 data["steps"][0]["normalized_text"] + "s"),
+                         "steps 0 and 1 are near-duplicates", id="train-library-near-duplicates"),
+            pytest.param("train", GROUNDED_LIBRARY_FILE,
+                         lambda data: {**data, "source_docs": [["doc", "1"]]},
+                         "expected a number, got '1'", id="train-library-string-doc-score"),
+            pytest.param("eval", GROUNDED_LIBRARY_FILE,
+                         lambda data: {**data, "doc_sequences": [[0, 99]]},
+                         "document step id 99 not in the library", id="eval-library-doc-step-99"),
+            pytest.param("eval", GROUNDED_LIBRARY_FILE,
+                         lambda data: {**data, "doc_sequences": [[0, "1"]]},
+                         "'1'", id="eval-library-doc-step-string"),
+            *[pytest.param("train", GROUNDED_FILE, lambda row, key=key, value=value:
+                           {**row, key: value}, repr(value).strip("[]"), id=f"train-grounded-{name}")
+              for name, key, value in (
+                  ("fractional-step", "step_ids", [3.7]),
+                  ("integral-float-step", "step_ids", [0.0]),
+                  ("bool-step", "step_ids", [True]),
+                  ("bool-score", "scores", [True]),
+                  ("string-score", "scores", ["0.5"]),
+                  ("bool-dropped", "dropped", False),
+              )],
+            pytest.param("graph", DECODED_FILE, lambda row: {**row, "steps": [1.5]}, "1.5",
+                         id="graph-decoded-fractional-step"),
+            pytest.param("graph", DECODED_FILE, lambda row: {**row, "logprob": True}, "True",
+                         id="graph-decoded-bool-logprob"),
+            pytest.param("graph", DECODED_FILE, lambda row: {**row, "logprob": "-1.0"}, "'-1.0'",
+                         id="graph-decoded-string-logprob"),
+            pytest.param("decode", MODEL_FILE, lambda data: {**data, "order": 2.0}, "2.0",
+                         id="decode-model-float-order"),
+            pytest.param("decode", MODEL_FILE, lambda data: {**data, "lambda": True}, "True",
+                         id="decode-model-bool-lambda"),
+            pytest.param("decode", MODEL_FILE,
+                         lambda data: {**data, "contexts": [{"ctx": [0.5], "counts": {}}]},
+                         "0.5", id="decode-model-fractional-context"),
+            pytest.param("decode", MODEL_FILE, lambda data: _with_first_count(data, "01", 1),
+                         "'01'", id="decode-model-padded-count-key"),
+            pytest.param("decode", MODEL_FILE, lambda data: _with_first_count(data, "0", 1.5),
+                         "1.5", id="decode-model-fractional-count"),
+            pytest.param("decode", MODEL_FILE, lambda data: _with_first_count(data, "0", -1),
+                         "negative count", id="decode-model-negative-count"),
+            pytest.param("decode", MODEL_FILE,
+                         lambda data: {**data, "contexts": [{"ctx": [], "counts": ["0"]}]},
+                         "has no attribute 'items'", id="decode-model-counts-list"),
         ],
     )
     def test_bad_artifact_reports_bad_input(
