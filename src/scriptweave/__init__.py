@@ -1,156 +1,4 @@
 """Scriptweave: step libraries, grounded video sequences, path models,
 and induced step graphs for procedural tasks."""
 
-from .contrastive import (
-    ContrastiveBatch,
-    LossConfig,
-    MixtureWeights,
-    NegativeGenConfig,
-    curriculum_mixture,
-    draw_negative_method,
-    generate_negative,
-    path_level_losses,
-    sequence_representation,
-)
-from .corpus import (
-    CorpusStats,
-    RawSequenceRecord,
-    SequenceItem,
-    Step,
-    StepLibrary,
-    TaskSpec,
-    build_step_library,
-    corpus_statistics,
-    deduplicate_library,
-    levenshtein,
-    load_library,
-    normalize_step,
-    normalized_levenshtein,
-    save_library,
-)
-from .decoder import (
-    DecodeConfig,
-    PrefixTrie,
-    build_prefix_trie,
-    constrained_beam_search,
-)
-from .errors import ScriptweaveError
-from .evalharness import (
-    EvalExample,
-    EvalSplit,
-    baseline_complete,
-    baseline_predict,
-    build_eval_splits,
-    completion_metrics,
-    greedy_completion,
-    model_complete,
-    model_predict_next,
-    next_step_metrics,
-)
-from .graphgen import (
-    GraphEdge,
-    GraphScript,
-    Relation,
-    classify_relations,
-    export_graph,
-    induce_graph,
-    load_graph,
-    save_graph,
-)
-from .grounding import (
-    GroundedSequence,
-    GroundingConfig,
-    ground_asr_sequence,
-    ground_labelled_sequence,
-    load_grounded,
-    match_task_documents,
-    preprocess_asr,
-    prune_unused_steps,
-    save_grounded,
-    video_passes_task_filter,
-)
-from .pathmodel import (
-    END,
-    START,
-    PathModel,
-    PathModelConfig,
-    load_model,
-    next_step_distribution,
-    save_model,
-    sequence_nll,
-    train_path_model,
-)
-from .similarity import HttpEmbeddingProvider, SimilarityProvider, TfidfSimilarity
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "END",
-    "START",
-    "ContrastiveBatch",
-    "CorpusStats",
-    "DecodeConfig",
-    "EvalExample",
-    "EvalSplit",
-    "GraphEdge",
-    "GraphScript",
-    "GroundedSequence",
-    "GroundingConfig",
-    "HttpEmbeddingProvider",
-    "LossConfig",
-    "MixtureWeights",
-    "NegativeGenConfig",
-    "PathModel",
-    "PathModelConfig",
-    "PrefixTrie",
-    "RawSequenceRecord",
-    "Relation",
-    "ScriptweaveError",
-    "SequenceItem",
-    "SimilarityProvider",
-    "Step",
-    "StepLibrary",
-    "TaskSpec",
-    "TfidfSimilarity",
-    "baseline_complete",
-    "baseline_predict",
-    "build_eval_splits",
-    "build_prefix_trie",
-    "build_step_library",
-    "classify_relations",
-    "completion_metrics",
-    "constrained_beam_search",
-    "corpus_statistics",
-    "curriculum_mixture",
-    "deduplicate_library",
-    "draw_negative_method",
-    "export_graph",
-    "generate_negative",
-    "greedy_completion",
-    "ground_asr_sequence",
-    "ground_labelled_sequence",
-    "induce_graph",
-    "levenshtein",
-    "load_graph",
-    "load_grounded",
-    "load_library",
-    "load_model",
-    "match_task_documents",
-    "model_complete",
-    "model_predict_next",
-    "next_step_distribution",
-    "next_step_metrics",
-    "normalize_step",
-    "normalized_levenshtein",
-    "path_level_losses",
-    "preprocess_asr",
-    "prune_unused_steps",
-    "save_graph",
-    "save_grounded",
-    "save_library",
-    "save_model",
-    "sequence_nll",
-    "sequence_representation",
-    "train_path_model",
-    "video_passes_task_filter",
-]

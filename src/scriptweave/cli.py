@@ -54,6 +54,7 @@ from .decoder import (
 )
 from .errors import BadConfig, DegenerateInput, EmptySequence, ScriptweaveError
 from .evalharness import (
+    TRAIN_FRACTION,
     baseline_complete,
     baseline_predict,
     build_eval_splits,
@@ -124,8 +125,8 @@ def _setting_defaults() -> dict:
     """Each setting's default: a sub-config's own where one takes the setting, else None."""
     defaults = {
         "out_dir": "out", "embedding_timeout": 10.0, "prune_unused": True,
-        "frequency_threshold": 10, "epoch": 0, "prune_threshold": PRUNE_THRESHOLD,
-        "train_fraction": 0.40,
+        "frequency_threshold": corpuslib.FREQUENCY_THRESHOLD, "epoch": 0,
+        "prune_threshold": PRUNE_THRESHOLD, "train_fraction": TRAIN_FRACTION,
     }
     for subconfig in _SUBCONFIGS:
         defaults.update(vars(subconfig()))
@@ -232,11 +233,10 @@ def read_config_file(path: str | Path) -> dict:
     return settings
 
 
-def _env_settings(environ=None) -> dict:
-    environ = os.environ if environ is None else environ
+def _env_settings() -> dict:
     settings = {}
     for key in SETTING_TYPES:
-        raw = environ.get(ENV_PREFIX + key.upper())
+        raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             settings[key] = _coerce(key, _parse_setting(raw))
     return settings
@@ -261,10 +261,13 @@ def _require(cfg: PipelineConfig, *names: str) -> None:
             raise BadConfig(f"setting {name!r} is required (flag, config file, or env)")
 
 
+def _artifact(cfg: PipelineConfig, name: str) -> Path:
+    return Path(cfg.out_dir) / name
+
+
 def _out_path(cfg: PipelineConfig, name: str) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    return _artifact(cfg, name)
 
 
 def _select_task(cfg: PipelineConfig) -> corpuslib.TaskSpec:
@@ -293,7 +296,7 @@ def _provider(cfg: PipelineConfig, corpus_texts):
 
 
 def cmd_library(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed", "docs_path")
+    _require(cfg, "docs_path")
     task = _select_task(cfg)
     docs = load_candidate_docs(cfg.docs_path)
     provider = _provider(cfg, [title for title, _ in docs] + [task.task_name])
@@ -306,9 +309,9 @@ def cmd_library(cfg: PipelineConfig) -> int:
 
 
 def cmd_ground(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed", "corpus_path")
+    _require(cfg, "corpus_path")
     task = _select_task(cfg)
-    library = corpuslib.load_library(_out_path(cfg, LIBRARY_FILE))
+    library = corpuslib.load_library(_artifact(cfg, LIBRARY_FILE))
     records = [r for r in load_raw_records(cfg.corpus_path) if r.task_id == task.task_id]
     gcfg = cfg.grounding
 
@@ -346,19 +349,17 @@ def cmd_ground(cfg: PipelineConfig) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed")
-    sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     stats = corpus_statistics(sequences, frequency_threshold=cfg.frequency_threshold)
     path = _out_path(cfg, STATS_FILE)
-    write_json(corpuslib.stats_to_json(stats), path)
+    write_json(stats._asdict(), path)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed")
-    library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
-    sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
+    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = train_path_model(sequences, library, cfg.pathmodel)
     path = _out_path(cfg, MODEL_FILE)
     save_model(model, path)
@@ -367,10 +368,9 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 
 def cmd_losses(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed")
-    library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
-    sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
-    model = load_model(_out_path(cfg, MODEL_FILE), library)
+    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
+    model = load_model(_artifact(cfg, MODEL_FILE), library)
     provider = _provider(cfg, library.texts())
     mixture = cfg.mixture
     rng = random.Random(f"{cfg.seed}:losses")
@@ -410,11 +410,7 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     n = len(rows)
     payload = {
         "epoch": cfg.epoch,
-        "mixture": {
-            "resample": mixture.resample,
-            "shuffle": mixture.shuffle,
-            "cutswap": mixture.cutswap,
-        },
+        "mixture": mixture._asdict(),
         "alpha": cfg.alpha,
         "temperature": cfg.temperature,
         "sequences": rows,
@@ -429,9 +425,8 @@ def cmd_losses(cfg: PipelineConfig) -> int:
 
 
 def cmd_decode(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed")
-    library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
-    model = load_model(_out_path(cfg, MODEL_FILE), library)
+    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    model = load_model(_artifact(cfg, MODEL_FILE), library)
     trie = build_prefix_trie(library)
     results = constrained_beam_search(model, trie, cfg.decode)
     path = _out_path(cfg, DECODED_FILE)
@@ -441,9 +436,8 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 
 
 def cmd_graph(cfg: PipelineConfig, extra_out: str | None = None) -> int:
-    _require(cfg, "seed")
-    library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
-    paths = [steps for steps, _ in load_decoded(_out_path(cfg, DECODED_FILE))]
+    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE))]
     graph = induce_graph(
         paths, prune_threshold=cfg.prune_threshold, task_id=library.task_id, library=library
     )
@@ -461,9 +455,8 @@ def cmd_graph(cfg: PipelineConfig, extra_out: str | None = None) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig) -> int:
-    _require(cfg, "seed")
-    library = corpuslib.load_library(_out_path(cfg, GROUNDED_LIBRARY_FILE))
-    sequences = load_grounded(_out_path(cfg, GROUNDED_FILE))
+    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
     model = train_path_model(split.train, library, cfg.pathmodel)
 
@@ -551,7 +544,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="next-step and completion metrics with baselines")
     common(p)
     p.add_argument(
-        "--split", dest="train_fraction", type=float, help="train fraction (default 0.40)"
+        "--split", dest="train_fraction", type=float,
+        help=f"train fraction (default {TRAIN_FRACTION:.2f})",
     )
 
     return parser
@@ -576,6 +570,7 @@ def run_command(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = build_config(args)
+        _require(cfg, "seed")
         if args.command == "graph":
             return cmd_graph(cfg, extra_out=getattr(args, "extra_out", None))
         return _COMMANDS[args.command](cfg)

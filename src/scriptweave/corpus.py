@@ -15,12 +15,14 @@ from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import BadInput, EmptyCorpus, EmptyStep, NoDocuments, UnknownStep
+from .errors import BadInput, EmptyCorpus, EmptyStep, NoDocuments
 from .jsonio import read_json, read_jsonl, write_json
 from .record import Record
 
 # Kept candidates must differ by at least this normalized edit distance.
 DEDUP_DISTANCE = 0.1
+# A successor is frequent when its pair occurs in more than this many videos.
+FREQUENCY_THRESHOLD = 10
 
 _BRACKETED_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]")
 _EDGE_PUNCT_RE = re.compile(r"^[\W_]+|[\W_]+$")
@@ -180,8 +182,7 @@ class StepLibrary(Record):
     """Deduplicated canonical steps for one task.
 
     source_docs records (title, score) per contributing document, where the
-    score is the document's ranking similarity when the caller supplies one
-    and its 1-based rank otherwise. doc_sequences holds each document's
+    score is the document's 1-based rank. doc_sequences holds each document's
     step order re-expressed as library step ids; the linear baseline in the
     evaluation harness consumes these.
     """
@@ -201,12 +202,6 @@ class StepLibrary(Record):
 
     def step_ids(self) -> list[int]:
         return [step.step_id for step in self.steps]
-
-    def text_of(self, step_id: int) -> str:
-        for step in self.steps:
-            if step.step_id == step_id:
-                return step.normalized_text
-        raise UnknownStep(f"step id {step_id} not in library for task {self.task_id!r}")
 
     def has(self, step_id: int) -> bool:
         return 0 <= step_id < len(self.steps)
@@ -229,15 +224,11 @@ def build_step_library(
     task: TaskSpec,
     candidate_docs: Sequence[tuple[str, Sequence[str]]],
     top_m_docs: int = 10,
-    simplify: Callable[[str], str] | None = None,
-    doc_scores: Sequence[float] | None = None,
 ) -> StepLibrary:
     """Concatenate the top-ranked documents' steps into a deduplicated library.
 
     candidate_docs must already be ranked best-first; only the first
     top_m_docs are used. Steps that normalize to nothing are skipped.
-    simplify is an optional text rewriting hook applied between
-    normalization and deduplication; the default is the identity.
     """
     if not candidate_docs:
         raise NoDocuments(f"no candidate documents for task {task.task_id!r}")
@@ -252,10 +243,6 @@ def build_step_library(
                 text = normalize_step(raw)
             except EmptyStep:
                 continue
-            if simplify is not None:
-                text = simplify(text)
-                if not text:
-                    continue
             normalized.append(text)
             raws.append(raw)
             origins.append(doc_index)
@@ -272,11 +259,7 @@ def build_step_library(
         if kept_index not in seq:
             seq.append(kept_index)
 
-    if doc_scores is not None:
-        scores = [float(s) for s in doc_scores[: len(docs)]]
-    else:
-        scores = [float(rank) for rank in range(1, len(docs) + 1)]
-    source_docs = [(title, score) for (title, _), score in zip(docs, scores)]
+    source_docs = [(title, float(rank)) for rank, (title, _) in enumerate(docs, start=1)]
     return StepLibrary(task.task_id, steps, source_docs, doc_sequences)
 
 
@@ -325,7 +308,7 @@ class CorpusStats(NamedTuple):
     frequency_threshold: int
 
 
-def corpus_statistics(sequences, frequency_threshold: int = 10) -> CorpusStats:
+def corpus_statistics(sequences, frequency_threshold: int = FREQUENCY_THRESHOLD) -> CorpusStats:
     """Measure how non-sequential a corpus of grounded sequences is.
 
     reversal_rate is the fraction of unordered step pairs, observed
@@ -397,6 +380,13 @@ def checked_float(value) -> float:
     return float(value)
 
 
+def checked_str(value, what: str, optional: bool = False):
+    """value when it is a JSON string (or null, when optional); else a ValueError naming what."""
+    if type(value) is str or (optional and value is None):
+        return value
+    raise ValueError(f"{what} must be a string, got {value!r}")
+
+
 def parse_rows(path: str | Path, parse: Callable) -> list:
     """parse() each JSONL row; a row it rejects raises BadInput naming path:line."""
     return [
@@ -406,21 +396,24 @@ def parse_rows(path: str | Path, parse: Callable) -> list:
 
 
 def _task(row) -> TaskSpec:
-    return TaskSpec(row["task_id"], row["task_name"], row.get("category"))
+    task_id = checked_str(row["task_id"], "task_id")
+    return TaskSpec(task_id, checked_str(row["task_name"], "task_name"), row.get("category"))
 
 
 def _candidate_doc(row) -> tuple[str, list[str]]:
-    steps = list(row["steps"])
-    if not isinstance(row["title"], str):
-        raise ValueError(f"document title must be a string: {row['title']!r}")
-    return row["title"], steps
+    steps = [checked_str(step, "document step") for step in row["steps"]]
+    return checked_str(row["title"], "document title"), steps
 
 
 def _record(row) -> RawSequenceRecord:
     items = [
-        SequenceItem(item["text"], item.get("start"), item.get("end")) for item in row["items"]
+        SequenceItem(checked_str(item["text"], "item text"), item.get("start"), item.get("end"))
+        for item in row["items"]
     ]
-    record = RawSequenceRecord(row["video_id"], row["task_id"], row["kind"], items, row.get("title"))
+    record = RawSequenceRecord(
+        checked_str(row["video_id"], "video_id"), checked_str(row["task_id"], "task_id"),
+        row["kind"], items, checked_str(row.get("title"), "title", optional=True),
+    )
     record.validate()
     return record
 
@@ -486,11 +479,3 @@ def load_library(path: str | Path) -> StepLibrary:
     """A malformed file, or a library that fails validation, is BadInput naming the path."""
     return parse_checked(str(path), library_from_json, read_json(path))
 
-
-def stats_to_json(stats: CorpusStats) -> dict:
-    return {
-        "reversal_rate": stats.reversal_rate,
-        "mean_frequent_next_steps": stats.mean_frequent_next_steps,
-        "mean_frequent_next_steps_all": stats.mean_frequent_next_steps_all,
-        "frequency_threshold": stats.frequency_threshold,
-    }

@@ -24,6 +24,9 @@ from .grounding import GroundedSequence
 from .pathmodel import PathModel, check_steps, next_step_distribution  # noqa: F401
 from .record import Record
 
+# Share of sequences, split by video, that train the evaluated model.
+TRAIN_FRACTION = 0.40
+
 
 class EvalExample(Record):
     _fields = ("prefix", "gold_next", "gold_completions")
@@ -43,7 +46,7 @@ class EvalSplit(Record):
 
 def build_eval_splits(
     sequences: Sequence[GroundedSequence],
-    train_fraction: float = 0.40,
+    train_fraction: float = TRAIN_FRACTION,
     rng_seed: int = 0,
 ) -> EvalSplit:
     """Shuffle sequences, split by video, and expand test prefixes.
@@ -134,6 +137,17 @@ def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -
     return {"Acc@1": acc / n, "EditDist": dist_sum / n, "NormalizedEditDist": norm_sum / n}
 
 
+def _unused_steps(kind, split, library, linear_sequences) -> list[tuple[tuple, set, list[int]]]:
+    """(prefix, its step set, library steps not in it) per test example."""
+    if kind not in ("random", "linear"):
+        raise ValueError(f"unknown baseline {kind!r}")
+    if kind == "linear" and linear_sequences is None:
+        raise MissingLinearData("linear baseline needs source document step orders")
+    all_ids = library.step_ids()
+    used_sets = [(example.prefix, set(example.prefix)) for example in split.test_examples]
+    return [(prefix, used, [s for s in all_ids if s not in used]) for prefix, used in used_sets]
+
+
 def baseline_predict(
     kind: str,
     split: EvalSplit,
@@ -150,40 +164,13 @@ def baseline_predict(
     document contains the tail.
     """
     rng = random.Random(rng_seed)
-    all_ids = library.step_ids()
-    if kind not in ("random", "linear"):
-        raise ValueError(f"unknown baseline {kind!r}")
-    if kind == "linear" and linear_sequences is None:
-        raise MissingLinearData("linear baseline needs source document step orders")
-
     predictions = []
-    for example in split.test_examples:
-        used = set(example.prefix)
-        remaining = [step_id for step_id in all_ids if step_id not in used]
-        if kind == "random":
-            ranked = remaining[:]
-            rng.shuffle(ranked)
-        else:
-            ranked = _linear_ranking(example.prefix, remaining, linear_sequences, rng)
-        predictions.append(ranked)
+    for prefix, used, remaining in _unused_steps(kind, split, library, linear_sequences):
+        head = _linear_completion(prefix, used, linear_sequences) if kind == "linear" else []
+        rest = [step_id for step_id in remaining if step_id not in head] if head else remaining
+        rng.shuffle(rest)
+        predictions.append(head + rest)
     return predictions
-
-
-def _linear_ranking(prefix, remaining, docs, rng: random.Random) -> list[int]:
-    tail = prefix[-1]
-    used = set(prefix)
-    for doc in docs:
-        doc = list(doc)
-        if tail not in doc:
-            continue
-        continuation = [s for s in doc[doc.index(tail) + 1 :] if s not in used]
-        if continuation:
-            rest = [s for s in remaining if s not in continuation]
-            rng.shuffle(rest)
-            return continuation + rest
-    fallback = list(remaining)
-    rng.shuffle(fallback)
-    return fallback
 
 
 def baseline_complete(
@@ -200,39 +187,25 @@ def baseline_complete(
     to random.
     """
     rng = random.Random(rng_seed)
-    all_ids = library.step_ids()
-    if kind not in ("random", "linear"):
-        raise ValueError(f"unknown baseline {kind!r}")
-    if kind == "linear" and linear_sequences is None:
-        raise MissingLinearData("linear baseline needs source document step orders")
-
     predictions = []
-    for example in split.test_examples:
-        used = set(example.prefix)
-        remaining = [step_id for step_id in all_ids if step_id not in used]
-        if kind == "linear":
-            completion = _linear_completion(example.prefix, remaining, linear_sequences)
-            if completion is not None:
-                predictions.append(completion)
-                continue
-        shuffled = remaining[:]
-        rng.shuffle(shuffled)
-        length = rng.randint(1, len(shuffled)) if shuffled else 0
-        predictions.append(shuffled[:length])
+    for prefix, used, remaining in _unused_steps(kind, split, library, linear_sequences):
+        completion = _linear_completion(prefix, used, linear_sequences) if kind == "linear" else []
+        if not completion:
+            rng.shuffle(remaining)
+            completion = remaining[: rng.randint(1, len(remaining)) if remaining else 0]
+        predictions.append(completion)
     return predictions
 
 
-def _linear_completion(prefix, remaining, docs) -> list[int] | None:
+def _linear_completion(prefix, used, docs) -> list[int]:
+    """Unused steps after the prefix's last step in the first document with any, else []."""
     tail = prefix[-1]
-    used = set(prefix)
     for doc in docs:
-        doc = list(doc)
-        if tail not in doc:
-            continue
-        continuation = [s for s in doc[doc.index(tail) + 1 :] if s not in used]
-        if continuation:
-            return continuation
-    return None
+        if tail in doc:
+            continuation = [s for s in doc[doc.index(tail) + 1 :] if s not in used]
+            if continuation:
+                return continuation
+    return []
 
 
 def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:

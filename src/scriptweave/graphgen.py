@@ -14,7 +14,8 @@ from typing import NamedTuple, Sequence
 
 from .corpus import StepLibrary
 from .errors import EmptyInput, UnsupportedFormat
-from .jsonio import read_json, write_json
+# read_json stays bound here: perfbench/spans.py traces it under this name.
+from .jsonio import read_json, write_json  # noqa: F401
 from .pathmodel import END, START
 from .record import Record
 
@@ -245,33 +246,5 @@ def graph_to_json(graph: GraphScript) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> GraphScript:
-    def parse_node(value):
-        if value == "START":
-            return START
-        if value == "END":
-            return END
-        return int(value)
-
-    edges = [
-        GraphEdge(parse_node(e["src"]), parse_node(e["dst"]), float(e["weight"]), int(e["count"]))
-        for e in data["edges"]
-    ]
-    relations = [Relation(r["kind"], tuple(int(s) for s in r["steps"])) for r in data["relations"]]
-    labels = {int(n["id"]): n["label"] for n in data["nodes"] if n.get("label")}
-    return GraphScript(
-        data["task_id"],
-        [int(n["id"]) for n in data["nodes"]],
-        edges,
-        int(data["num_paths"]),
-        relations,
-        labels,
-    )
-
-
 def save_graph(graph: GraphScript, path) -> None:
     write_json(graph_to_json(graph), path)
-
-
-def load_graph(path) -> GraphScript:
-    return graph_from_json(read_json(path))

@@ -323,6 +323,16 @@ class TestImportFootprint:
         for argv in pipeline_argvs(workspace, workspace / "out"):
             assert heavy_modules_loaded([argv]) == {"import": [], argv[0]: []}, argv[0]
 
+    def test_errors_module_loads_no_other_scriptweave_module(self):
+        src = str(Path(scriptweave.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = ("import json, sys, scriptweave.errors; "
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scriptweave'))))")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["scriptweave", "scriptweave.errors"]
+
 
 class TestConfigMerging:
     def parse(self, argv):
@@ -429,6 +439,13 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingArtifact"
 
+    @pytest.mark.parametrize("stage", ["stats", "train", "losses", "decode", "graph", "eval"])
+    def test_reading_stage_creates_no_output_directory(self, tmp_path, capsys, stage):
+        out = tmp_path / "typo_dir"
+        assert run_command([stage, "--seed", "7", "--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "MissingArtifact"
+        assert not out.exists()
+
     def test_unknown_command_exits_nonzero(self, capsys):
         assert run_command(["frobnicate"]) == 2
         capsys.readouterr()
@@ -491,6 +508,8 @@ class TestErrorReporting:
             ('{"video_id": "v1", "task_id": "t1", "kind": "labelled", "items": [{"text": "stir"}]}'
              '\nnot json\n', ":2:", "not valid JSON"),
             ('{"video_id": "v1", "task_id": "t1", "kind": "labelled"}\n', ":1:", "'items'"),
+            ('{"video_id": "v1", "task_id": "t1", "kind": "labelled", "items": [{"text": 5}]}\n',
+             ":1:", "item text"),
         ],
     )
     def test_malformed_corpus_reports_bad_input(self, workspace, capsys, corpus, where, fragment):

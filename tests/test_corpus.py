@@ -364,6 +364,22 @@ class TestFileFormats:
             (load_raw_records,
              '{"video_id": "v", "task_id": "t", "kind": "vlog", "items": [{"text": "x"}]}\n',
              ":1:", "kind"),
+            (load_tasks, '{"task_id": "t1", "task_name": 3}\n', ":1:", "task_name"),
+            (load_tasks, '{"task_id": 1, "task_name": "x"}\n', ":1:", "task_id"),
+            (load_candidate_docs, '{"title": "Doc", "steps": [7, "mix"]}\n', ":1:",
+             "document step"),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": "t", "kind": "labelled", "items": [{"text": 5}]}\n',
+             ":1:", "item text"),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": "t", "kind": "asr", "title": 9, "items": [{"text": "x"}]}\n',
+             ":1:", "title"),
+            (load_raw_records,
+             '{"video_id": 5, "task_id": "t", "kind": "asr", "items": [{"text": "x"}]}\n',
+             ":1:", "video_id"),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": 1, "kind": "asr", "items": [{"text": "x"}]}\n',
+             ":1:", "task_id"),
         ],
     )
     def test_malformed_rows_raise_bad_input_with_line(self, tmp_path, loader, text, where,

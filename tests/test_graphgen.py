@@ -12,12 +12,9 @@ from scriptweave.graphgen import (
     Relation,
     classify_relations,
     export_graph,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
     induce_graph,
-    load_graph,
-    save_graph,
 )
 from scriptweave.pathmodel import END, START
 
@@ -185,24 +182,6 @@ class TestJsonExport:
         assert "START" in srcs
         assert "END" in dsts
         assert all(isinstance(n["id"], int) for n in data["nodes"])
-
-    def test_roundtrip(self):
-        graph = self.make_graph()
-        clone = graph_from_json(graph_to_json(graph))
-        assert clone.task_id == graph.task_id
-        assert clone.nodes == graph.nodes
-        assert clone.edges == graph.edges
-        assert clone.relations == graph.relations
-        assert clone.labels == graph.labels
-        assert clone.num_paths == graph.num_paths
-
-    def test_save_and_load(self, tmp_path):
-        graph = self.make_graph()
-        path = tmp_path / "graph.json"
-        save_graph(graph, path)
-        clone = load_graph(path)
-        assert clone.edges == graph.edges
-        assert clone.relations == graph.relations
 
     def test_export_graph_json_matches_dump(self):
         graph = self.make_graph()

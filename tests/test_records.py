@@ -22,15 +22,7 @@ from scriptweave.corpus import (
 from scriptweave.decoder import DecodeConfig
 from scriptweave.errors import BadConfig, EmptySequence
 from scriptweave.evalharness import EvalExample, EvalSplit
-from scriptweave.graphgen import (
-    GraphEdge,
-    GraphScript,
-    Relation,
-    classify_relations,
-    graph_from_json,
-    graph_to_json,
-    induce_graph,
-)
+from scriptweave.graphgen import GraphEdge, GraphScript, Relation
 from scriptweave.grounding import (
     GroundedSequence,
     GroundingConfig,
@@ -159,13 +151,6 @@ class TestMutableRecords:
         model.rows([0])
         assert clone == model
         assert clone._rows != model._rows
-
-    def test_graph_round_trip(self):
-        graph = classify_relations(
-            induce_graph([[0, 1, 2], [1, 0, 2], [0, 2]], 0.1, "demo", make_library())
-        )
-        assert graph.relations
-        assert graph_from_json(graph_to_json(graph)) == graph
 
     @pytest.mark.parametrize("build", DEFAULT_BUILT, ids=lambda b: type(b()).__name__)
     def test_instances_share_no_mutable_default(self, build):
