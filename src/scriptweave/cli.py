@@ -97,15 +97,14 @@ METRICS_JSON_FILE = "metrics.json"
 METRICS_TEXT_FILE = "metrics.txt"
 
 
-# Every setting, in PipelineConfig's positional order, with the type a
-# config file, the environment or a flag must give it.
+# Every setting, with the type a config file, the environment or a flag
+# must give it.
 SETTING_TYPES = {
     "tasks_path": str, "docs_path": str, "corpus_path": str, "out_dir": str, "seed": int,
     "task": str, "embedding_url": str, "embedding_timeout": float,
     # step library / grounding
     "top_m_docs": int, "keyword_threshold": float, "relaxed_keyword_threshold": float,
     "k1": float, "k2": float, "k3": float, "asr_min_words": int, "stop_words": tuple,
-    "prune_unused": bool,
     # corpus statistics
     "frequency_threshold": int,
     # path model
@@ -124,7 +123,7 @@ _SUBCONFIGS = (GroundingConfig, PathModelConfig, DecodeConfig, NegativeGenConfig
 def _setting_defaults() -> dict:
     """Each setting's default: a sub-config's own where one takes the setting, else None."""
     defaults = {
-        "out_dir": "out", "embedding_timeout": 10.0, "prune_unused": True,
+        "out_dir": "out", "embedding_timeout": 10.0,
         "frequency_threshold": corpuslib.FREQUENCY_THRESHOLD, "epoch": 0,
         "prune_threshold": PRUNE_THRESHOLD, "train_fraction": TRAIN_FRACTION,
     }
@@ -137,8 +136,8 @@ SETTING_DEFAULTS = _setting_defaults()
 
 
 class PipelineConfig(Record):
-    """Every setting in SETTING_TYPES, by keyword or in that order, each
-    defaulting to SETTING_DEFAULTS.
+    """Every setting in SETTING_TYPES, by keyword, each defaulting to
+    SETTING_DEFAULTS.
 
     The sub-configs are built once from the settings, so that an
     out-of-range value fails as BadConfig when the settings are merged,
@@ -147,13 +146,7 @@ class PipelineConfig(Record):
 
     _fields = tuple(SETTING_TYPES)
 
-    def __init__(self, *args, **settings):
-        if len(args) > len(self._fields):
-            raise TypeError(f"PipelineConfig takes at most {len(self._fields)} positional settings")
-        for name, value in zip(self._fields, args):
-            if name in settings:
-                raise TypeError(f"PipelineConfig got multiple values for setting {name!r}")
-            settings[name] = value
+    def __init__(self, **settings):
         unknown = sorted(settings.keys() - SETTING_DEFAULTS.keys())
         if unknown:
             raise TypeError(f"PipelineConfig got unknown settings {unknown}")
@@ -163,8 +156,7 @@ class PipelineConfig(Record):
             self.grounding = GroundingConfig(**self._settings_of(GroundingConfig))
             self.pathmodel = PathModelConfig(**self._settings_of(PathModelConfig))
             self.decode = DecodeConfig(**self._settings_of(DecodeConfig))
-            negatives = self._settings_of(NegativeGenConfig)
-            self.negatives = NegativeGenConfig(**negatives, rng_seed=self.seed or 0)
+            self.negatives = NegativeGenConfig(**self._settings_of(NegativeGenConfig))
             self.loss = LossConfig(**self._settings_of(LossConfig))
             self.mixture = curriculum_mixture(self.epoch)
             if self.embedding_timeout <= 0:
@@ -180,8 +172,7 @@ class PipelineConfig(Record):
 
 
 _EXPECTED = {
-    bool: "true or false", int: "an integer", float: "a number",
-    tuple: "a list of strings", str: "a string",
+    int: "an integer", float: "a number", tuple: "a list of strings", str: "a string",
 }
 
 
@@ -206,7 +197,7 @@ def _coerce(key: str, value):
     elif kind is float:
         valid = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
-        valid = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+        valid = isinstance(value, kind) and not isinstance(value, bool)
     if not valid:
         raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {value!r}")
     return kind(value) if kind in (float, tuple) else value
@@ -218,6 +209,8 @@ def read_config_file(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise BadConfig(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise BadConfig(f"{path}: not UTF-8 text: {exc}") from None
     settings = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -301,7 +294,7 @@ def cmd_library(cfg: PipelineConfig) -> int:
     docs = load_candidate_docs(cfg.docs_path)
     provider = _provider(cfg, [title for title, _ in docs] + [task.task_name])
     ranked = match_task_documents(task, docs, provider, cfg.grounding)
-    library = corpuslib.build_step_library(task, ranked, top_m_docs=cfg.top_m_docs)
+    library = corpuslib.build_step_library(task, ranked)
     path = _out_path(cfg, LIBRARY_FILE)
     corpuslib.save_library(library, path)
     print(f"wrote {path} ({len(library)} steps from {len(ranked)} documents)")
@@ -337,8 +330,7 @@ def cmd_ground(cfg: PipelineConfig) -> int:
         except EmptySequence:
             skipped += 1
 
-    if cfg.prune_unused:
-        library, grounded = prune_unused_steps(library, grounded)
+    library, grounded = prune_unused_steps(library, grounded)
     lib_path = _out_path(cfg, GROUNDED_LIBRARY_FILE)
     corpuslib.save_library(library, lib_path)
     seq_path = _out_path(cfg, GROUNDED_FILE)
@@ -574,7 +566,7 @@ def run_command(argv=None) -> int:
         if args.command == "graph":
             return cmd_graph(cfg, extra_out=getattr(args, "extra_out", None))
         return _COMMANDS[args.command](cfg)
-    except ScriptweaveError as exc:
+    except (ScriptweaveError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2

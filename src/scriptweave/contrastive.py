@@ -14,7 +14,8 @@ import random
 from typing import NamedTuple, Sequence
 
 from .corpus import StepLibrary
-from .errors import DegenerateInput, EmptySequence, UnknownStep
+from .errors import DegenerateInput, EmptySequence
+from .pathmodel import check_steps
 from .record import Record
 from .similarity import SimilarityProvider, cosine
 
@@ -91,7 +92,7 @@ def draw_negative_method(mixture: MixtureWeights, rng: random.Random) -> str:
 def generate_negative(
     positive: Sequence[int],
     method: str,
-    library,
+    library: StepLibrary,
     valid_set: set,
     cfg: NegativeGenConfig | None = None,
     rng: random.Random | None = None,
@@ -112,7 +113,7 @@ def generate_negative(
     target = tuple(positive)
 
     if method == "resample":
-        ids = _library_ids(library)
+        ids = library.step_ids()
         if len(positive) > len(ids):
             raise DegenerateInput(
                 f"cannot resample {len(positive)} steps from a library of {len(ids)}"
@@ -151,12 +152,6 @@ def generate_negative(
     raise ValueError(f"unknown negative method {method!r}")
 
 
-def _library_ids(library) -> list[int]:
-    if isinstance(library, StepLibrary):
-        return library.step_ids()
-    return list(library)
-
-
 def sequence_representation(
     step_ids: Sequence[int], library: StepLibrary, provider: SimilarityProvider
 ) -> tuple[float, ...]:
@@ -166,9 +161,7 @@ def sequence_representation(
     step_ids = list(step_ids)
     if not step_ids:
         raise EmptySequence("cannot embed an empty sequence")
-    for step_id in step_ids:
-        if not library.has(step_id):
-            raise UnknownStep(f"step id {step_id} not in library")
+    check_steps(step_ids, library)
     texts = [library.steps[step_id].normalized_text for step_id in step_ids]
     vectors = provider.embed(texts)
     if len({len(vec) for vec in vectors}) > 1:

@@ -124,18 +124,13 @@ def is_near_duplicate(a: Sequence, b: Sequence) -> bool:
     return previous[m] <= limit
 
 
-def deduplicate_library(steps: Sequence[str]) -> list[str]:
-    """Drop near-duplicate step texts, keeping the earliest occurrence.
+def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]]:
+    """Drop near-duplicate step texts, keeping the earliest occurrence, and
+    report, per input index, the kept index it maps to.
 
     A candidate is kept only when its normalized edit distance to every
     already-kept step is at least DEDUP_DISTANCE.
     """
-    kept, _ = deduplicate_with_mapping(steps)
-    return kept
-
-
-def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]]:
-    """Deduplicate and also report, per input index, the kept index it maps to."""
     kept: list[str] = []
     mapping: list[int] = []
     for step in steps:
@@ -221,18 +216,16 @@ class StepLibrary(Record):
 
 
 def build_step_library(
-    task: TaskSpec,
-    candidate_docs: Sequence[tuple[str, Sequence[str]]],
-    top_m_docs: int = 10,
+    task: TaskSpec, docs: Sequence[tuple[str, Sequence[str]]]
 ) -> StepLibrary:
-    """Concatenate the top-ranked documents' steps into a deduplicated library.
+    """Concatenate the ranked documents' steps into a deduplicated library.
 
-    candidate_docs must already be ranked best-first; only the first
-    top_m_docs are used. Steps that normalize to nothing are skipped.
+    docs must already be ranked best-first and cut to the documents to
+    use, as match_task_documents returns them. Steps that normalize to
+    nothing are skipped.
     """
-    if not candidate_docs:
+    if not docs:
         raise NoDocuments(f"no candidate documents for task {task.task_id!r}")
-    docs = list(candidate_docs)[:top_m_docs]
 
     normalized: list[str] = []
     raws: list[str] = []
@@ -320,21 +313,17 @@ def corpus_statistics(sequences, frequency_threshold: int = FREQUENCY_THRESHOLD)
     if not sequences:
         raise EmptyCorpus("corpus statistics need at least one sequence")
 
-    ordered_pairs: set[tuple[int, int]] = set()
     pair_videos: dict[tuple[int, int], set[str]] = defaultdict(set)
     observed_steps: set[int] = set()
     for seq in sequences:
         ids = seq.step_ids
         observed_steps.update(ids)
         for a, b in zip(ids, ids[1:]):
-            ordered_pairs.add((a, b))
             pair_videos[(a, b)].add(seq.video_id)
 
-    unordered = {frozenset(pair) for pair in ordered_pairs}
-    reversed_pairs = sum(
-        1 for pair in unordered if all(p in ordered_pairs for p in _both_orders(pair))
-    )
-    reversal_rate = reversed_pairs / len(unordered) if unordered else 0.0
+    reversed_pairs = sum(1 for a, b in pair_videos if a < b and (b, a) in pair_videos)
+    unordered = len(pair_videos) - reversed_pairs
+    reversal_rate = reversed_pairs / unordered if unordered else 0.0
 
     frequent_per_step: Counter[int] = Counter()
     for (a, _), videos in pair_videos.items():
@@ -344,11 +333,6 @@ def corpus_statistics(sequences, frequency_threshold: int = FREQUENCY_THRESHOLD)
     mean_restricted = total_frequent / len(frequent_per_step) if frequent_per_step else 0.0
     mean_all = total_frequent / len(observed_steps) if observed_steps else 0.0
     return CorpusStats(reversal_rate, mean_restricted, mean_all, frequency_threshold)
-
-
-def _both_orders(pair: frozenset) -> list[tuple[int, int]]:
-    a, b = sorted(pair)
-    return [(a, b), (b, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +375,7 @@ def parse_rows(path: str | Path, parse: Callable) -> list:
     """parse() each JSONL row; a row it rejects raises BadInput naming path:line."""
     return [
         parse_checked(f"{path}:{lineno}", parse, row)
-        for lineno, row in read_jsonl(path, numbered=True)
+        for lineno, row in read_jsonl(path)
     ]
 
 
@@ -401,6 +385,8 @@ def _task(row) -> TaskSpec:
 
 
 def _candidate_doc(row) -> tuple[str, list[str]]:
+    if type(row["steps"]) is not list:
+        raise ValueError(f"document steps must be a list, got {row['steps']!r}")
     steps = [checked_str(step, "document step") for step in row["steps"]]
     return checked_str(row["title"], "document title"), steps
 
@@ -426,18 +412,8 @@ def load_candidate_docs(path: str | Path) -> list[tuple[str, list[str]]]:
     return parse_rows(path, _candidate_doc)
 
 
-def load_raw_records(paths: str | Path | Sequence[str | Path]) -> list[RawSequenceRecord]:
-    """Load sequence records from one or many JSONL files.
-
-    Multiple files are merged in sorted file-name order so the result does
-    not depend on how the paths were supplied.
-    """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
-    records: list[RawSequenceRecord] = []
-    for path in sorted(paths, key=lambda p: str(p)):
-        records.extend(parse_rows(path, _record))
-    return records
+def load_raw_records(path: str | Path) -> list[RawSequenceRecord]:
+    return parse_rows(path, _record)
 
 
 def library_to_json(library: StepLibrary) -> dict:

@@ -164,10 +164,6 @@ def classify_relations(graph: GraphScript) -> GraphScript:
 def export_graph(graph: GraphScript, fmt: str) -> str:
     if fmt == "dot":
         return graph_to_dot(graph)
-    if fmt == "json":
-        import json
-
-        return json.dumps(graph_to_json(graph), indent=2, sort_keys=True) + "\n"
     raise UnsupportedFormat(f"unknown graph export format {fmt!r}")
 
 

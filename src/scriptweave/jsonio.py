@@ -31,12 +31,10 @@ def write_jsonl(rows, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_jsonl(path: str | Path, numbered: bool = False) -> list:
-    """Parse one JSON value per non-blank line.
-
-    With numbered=True each row comes as (line number, value), so callers
-    can name the line of a row they reject. A line that is not JSON raises
-    BadInput naming path:line.
+def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
+    """Parse one JSON value per non-blank line, as (line number, value)
+    pairs, so callers can name the line of a row they reject. A line that
+    is not JSON raises BadInput naming path:line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -52,5 +50,5 @@ def read_jsonl(path: str | Path, numbered: bool = False) -> list:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise BadInput(f"{path}:{lineno}: not valid JSON: {exc}") from None
-        rows.append((lineno, row) if numbered else row)
+        rows.append((lineno, row))
     return rows

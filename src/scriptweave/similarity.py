@@ -114,11 +114,12 @@ class TfidfSimilarity:
         return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
     def _memo_vector(self, text: str) -> tuple[float, ...]:
+        weights, _ = self._weighted.get(text) or self._memo_weights(text)
         vec = [0.0] * len(self._vocab)
-        for token, count in Counter(tokenize(text)).items():
+        for token, weight in weights.items():
             index = self._vocab.get(token)
             if index is not None:
-                vec[index] = count * self._idf(token)
+                vec[index] = weight
         norm = math.sqrt(math.fsum(x * x for x in vec))
         vector = tuple(x / norm for x in vec) if norm > 0 else tuple(vec)
         self._vectors[text] = vector

@@ -419,7 +419,7 @@ class TestConfigFileParsing:
         path = tmp_path / "s.cfg"
         path.write_text("max_steps = null\ntask = null\n")
         assert read_config_file(path) == {"max_steps": None, "task": None}
-        for line in ("k1 = null", "stop_words = null", "out_dir = null", "prune_unused = null"):
+        for line in ("k1 = null", "stop_words = null", "out_dir = null"):
             path.write_text(line + "\n")
             with pytest.raises(BadConfig, match="got None"):
                 read_config_file(path)
@@ -550,6 +550,33 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownStep"
         assert f"step id {n_steps} " in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, named, error",
+        [
+            (["graph", "--out", "{tmp}/nodir/g.dot"], "{tmp}/nodir/g.dot", "FileNotFoundError"),
+            (["stats", "--out-dir", "{tmp}/a_file"], "{tmp}/a_file", "NotADirectoryError"),
+            (["stats", "--config", "{tmp}"], "{tmp}", "IsADirectoryError"),
+            (["stats", "--config", "{tmp}/latin1.cfg"], "{tmp}/latin1.cfg", "BadConfig"),
+            (["ground", "--tasks", "{ws}/tasks.jsonl", "--corpus", "{tmp}"], "{tmp}",
+             "IsADirectoryError"),
+        ],
+        ids=["graph-out-dir-missing", "out-dir-is-a-file", "config-is-a-directory",
+             "config-not-utf8", "corpus-is-a-directory"],
+    )
+    def test_path_error_reports_json_and_exits_2(
+        self, finished_run, tmp_path, capsys, argv, named, error
+    ):
+        shutil.copytree(finished_run / "out", tmp_path / "out")
+        (tmp_path / "a_file").write_text("not a directory\n", encoding="utf-8")
+        (tmp_path / "latin1.cfg").write_bytes("seed = 7\ntask = caf\xe9\n".encode("latin-1"))
+        fill = {"ws": finished_run, "tmp": tmp_path}
+        command, *rest = [arg.format(**fill) for arg in argv]
+        code = run_command([command, "--seed", "7", "--out-dir", str(tmp_path / "out"), *rest])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert named.format(**fill) in err["message"]
 
     def test_non_json_docs_line_reports_bad_input(self, workspace, capsys):
         docs = workspace / "docs.jsonl"

@@ -104,10 +104,6 @@ class TestResample:
         with pytest.raises(DegenerateInput):
             generate_negative([0], "resample", library, set())
 
-    def test_plain_id_list_works_as_library(self):
-        negative = generate_negative([0, 1], "resample", [0, 1, 2, 3], {(0, 1)})
-        assert len(negative) == 2
-
 
 class TestShuffle:
     def test_preserves_multiset(self):

@@ -16,7 +16,6 @@ from scriptweave.corpus import (
     TaskSpec,
     build_step_library,
     corpus_statistics,
-    deduplicate_library,
     deduplicate_with_mapping,
     is_near_duplicate,
     levenshtein,
@@ -101,11 +100,11 @@ class TestLevenshtein:
 class TestDeduplicate:
     def test_near_duplicate_dropped(self):
         # distance 1 over max length 13 is 1/13 < 0.1
-        assert deduplicate_library(["add the salt", "add the salts"]) == ["add the salt"]
+        assert deduplicate_with_mapping(["add the salt", "add the salts"])[0] == ["add the salt"]
 
     def test_distinct_steps_kept(self):
         steps = ["mix the flour", "pour the milk"]
-        assert deduplicate_library(steps) == steps
+        assert deduplicate_with_mapping(steps)[0] == steps
 
     def test_earliest_occurrence_wins(self):
         kept, mapping = deduplicate_with_mapping(["add the salt", "add the salts", "add the salt"])
@@ -114,13 +113,13 @@ class TestDeduplicate:
 
     def test_exact_boundary_distance_is_kept(self):
         # distance 1 over max length 10 is exactly 0.1, which is far enough
-        assert deduplicate_library(["pour milk", "pour milks"]) == ["pour milk", "pour milks"]
+        assert deduplicate_with_mapping(["pour milk", "pour milks"])[0] == ["pour milk", "pour milks"]
 
     def test_kept_pairs_are_all_distant(self):
         rng = random.Random(11)
         words = ["mix", "stir", "pour", "chop", "the", "bowl", "pan", "fast"]
         texts = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 4))) for _ in range(40)]
-        kept = deduplicate_library(texts)
+        kept = deduplicate_with_mapping(texts)[0]
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert normalized_levenshtein(kept[i], kept[j]) >= 0.1
@@ -221,11 +220,6 @@ class TestBuildStepLibrary:
             by_text["bake it"],
         ]
 
-    def test_top_m_docs_limits_input(self):
-        library = build_step_library(self.TASK, self.docs(), top_m_docs=1)
-        assert len(library.steps) == 4
-        assert len(library.source_docs) == 1
-
     def test_default_doc_scores_are_ranks(self):
         library = build_step_library(self.TASK, self.docs())
         assert [score for _, score in library.source_docs] == [1.0, 2.0, 3.0]
@@ -254,7 +248,48 @@ def _seq(video_id, ids):
     return GroundedSequence(video_id, "t", list(ids), [1.0] * len(ids))
 
 
+def brute_force_statistics(sequences, threshold):
+    """corpus_statistics by definition, over every pair of steps seen."""
+    def consecutive(seq):
+        return set(zip(seq.step_ids, seq.step_ids[1:]))
+
+    seen = set().union(*map(consecutive, sequences))
+    unordered = {frozenset(pair) for pair in seen}
+    both = [pair for pair in unordered if {tuple(pair), tuple(pair)[::-1]} <= seen]
+    frequent = {}
+    for a, b in seen:
+        videos = {seq.video_id for seq in sequences if (a, b) in consecutive(seq)}
+        if len(videos) > threshold:
+            frequent[a] = frequent.get(a, 0) + 1
+    steps = {s for seq in sequences for s in seq.step_ids}
+    total = sum(frequent.values())
+    return CorpusStats(
+        len(both) / len(unordered) if unordered else 0.0,
+        total / len(frequent) if frequent else 0.0,
+        total / len(steps),
+        threshold,
+    )
+
+
+_GROUNDED = st.lists(
+    st.tuples(
+        st.sampled_from("abcd"),
+        st.lists(st.integers(0, 5), unique=True, min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestCorpusStatistics:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_GROUNDED, threshold=st.integers(0, 3))
+    def test_matches_brute_force_oracle(self, rows, threshold):
+        sequences = [_seq(video_id, ids) for video_id, ids in rows]
+        assert corpus_statistics(sequences, threshold) == brute_force_statistics(
+            sequences, threshold
+        )
+
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
             corpus_statistics([])
@@ -341,13 +376,6 @@ class TestFileFormats:
         loaded = load_raw_records(records)
         assert loaded[0].items[0].start == 1.0
 
-    def test_multiple_record_files_merge_in_sorted_order(self, tmp_path):
-        row = '{{"video_id": "{v}", "task_id": "t", "kind": "asr", "items": [{{"text": "x"}}]}}\n'
-        (tmp_path / "b.jsonl").write_text(row.format(v="from-b"))
-        (tmp_path / "a.jsonl").write_text(row.format(v="from-a"))
-        loaded = load_raw_records([tmp_path / "b.jsonl", tmp_path / "a.jsonl"])
-        assert [r.video_id for r in loaded] == ["from-a", "from-b"]
-
     @pytest.mark.parametrize(
         "loader, text, where, fragment",
         [
@@ -368,6 +396,10 @@ class TestFileFormats:
             (load_tasks, '{"task_id": 1, "task_name": "x"}\n', ":1:", "task_id"),
             (load_candidate_docs, '{"title": "Doc", "steps": [7, "mix"]}\n', ":1:",
              "document step"),
+            (load_candidate_docs, '{"title": "Doc", "steps": "Squeeze lemons"}\n', ":1:",
+             "document steps must be a list"),
+            (load_candidate_docs, '{"title": "Doc", "steps": {"mix": 1}}\n', ":1:",
+             "document steps must be a list"),
             (load_raw_records,
              '{"video_id": "v", "task_id": "t", "kind": "labelled", "items": [{"text": 5}]}\n',
              ":1:", "item text"),

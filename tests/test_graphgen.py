@@ -1,7 +1,5 @@
 """Graph induction, relation labeling, and export."""
 
-import json
-
 import pytest
 
 from scriptweave.corpus import Step, StepLibrary
@@ -182,12 +180,6 @@ class TestJsonExport:
         assert "START" in srcs
         assert "END" in dsts
         assert all(isinstance(n["id"], int) for n in data["nodes"])
-
-    def test_export_graph_json_matches_dump(self):
-        graph = self.make_graph()
-        assert export_graph(graph, "json") == (
-            json.dumps(graph_to_json(graph), indent=2, sort_keys=True) + "\n"
-        )
 
     def test_export_graph_dot_matches_renderer(self):
         graph = self.make_graph()

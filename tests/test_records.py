@@ -207,13 +207,6 @@ class TestConstructorErrors:
 
 
 class TestPipelineConfig:
-    def test_positional_order_is_the_setting_table(self):
-        cfg = PipelineConfig("tasks.jsonl", "docs.jsonl", "corpus.jsonl", "runs", 7)
-        assert (cfg.tasks_path, cfg.docs_path, cfg.corpus_path, cfg.out_dir, cfg.seed) == (
-            "tasks.jsonl", "docs.jsonl", "corpus.jsonl", "runs", 7,
-        )
-        assert list(SETTING_TYPES)[:5] == ["tasks_path", "docs_path", "corpus_path", "out_dir", "seed"]
-
     def test_sub_config_defaults_are_read_from_the_sub_configs(self):
         cfg = PipelineConfig()
         for sub in (GroundingConfig(), PathModelConfig(), DecodeConfig(), NegativeGenConfig(),
@@ -234,7 +227,7 @@ class TestPipelineConfig:
         assert cfg.grounding.k1 == 0.5
         assert cfg.pathmodel == PathModelConfig(order=3)
         assert cfg.decode == DecodeConfig(beam_width=9)
-        assert cfg.negatives == NegativeGenConfig(num_negatives=1, rng_seed=5)
+        assert cfg.negatives == NegativeGenConfig(num_negatives=1)
         assert cfg.loss == LossConfig(alpha=0.5)
 
     def test_equality_compares_the_settings(self):

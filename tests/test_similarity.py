@@ -61,6 +61,22 @@ def uncached_similarity(corpus, a, b):
     return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
 
+def uncached_embedding(corpus, text):
+    """One embed() vector with nothing kept between calls: the bit-exact reference."""
+    docs = [set(tokenize(t)) for t in corpus]
+    counts = Counter(tokenize(text))
+    vec = []
+    for token in sorted(set().union(*docs)):
+        idf = math.log((1 + len(docs)) / (1 + sum(token in doc for doc in docs))) + 1.0
+        vec.append(counts[token] * idf)
+    norm = math.sqrt(math.fsum(x * x for x in vec))
+    return [x / norm for x in vec] if norm > 0 else vec
+
+
+def _hexes(vectors):
+    return [[x.hex() for x in vector] for vector in vectors]
+
+
 def fsum_cosine(a, b):
     """None when a norm is zero (tiny components can square to zero)."""
     dot = math.fsum(x * y for x, y in zip(a, b))
@@ -247,8 +263,9 @@ class TestTfidfMemo:
                 got, want = provider.similarity(*args), fresh.similarity(*args)
                 assert got.hex() == want.hex() == uncached_similarity(CORPUS, *args).hex()
             else:
+                reference = [uncached_embedding(CORPUS, text) for text in args]
                 got, want = provider.embed(args), fresh.embed(args)
-                assert [[x.hex() for x in v] for v in got] == [[x.hex() for x in v] for v in want]
+                assert _hexes(got) == _hexes(want) == _hexes(reference)
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(st.tuples(_POOL, _POOL), min_size=1, max_size=40))
