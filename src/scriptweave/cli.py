@@ -36,8 +36,6 @@ from pathlib import Path
 from . import corpus as corpuslib
 from .contrastive import (
     ContrastiveBatch,
-    LossConfig,
-    NegativeGenConfig,
     curriculum_mixture,
     draw_negative_method,
     generate_negative,
@@ -46,7 +44,6 @@ from .contrastive import (
 )
 from .corpus import corpus_statistics, load_candidate_docs, load_raw_records, load_tasks
 from .decoder import (
-    DecodeConfig,
     build_prefix_trie,
     constrained_beam_search,
     decoded_to_rows,
@@ -67,7 +64,6 @@ from .evalharness import (
 )
 from .graphgen import PRUNE_THRESHOLD, classify_relations, export_graph, induce_graph, save_graph
 from .grounding import (
-    GroundingConfig,
     ground_asr_sequence,
     ground_labelled_sequence,
     load_grounded,
@@ -78,7 +74,7 @@ from .grounding import (
 )
 # read_jsonl stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_jsonl, write_json, write_jsonl  # noqa: F401
-from .pathmodel import PathModelConfig, load_model, save_model, sequence_nll, train_path_model
+from .pathmodel import load_model, save_model, sequence_nll, train_path_model
 from .record import Record
 from .similarity import HttpEmbeddingProvider, TfidfSimilarity
 
@@ -97,78 +93,67 @@ METRICS_JSON_FILE = "metrics.json"
 METRICS_TEXT_FILE = "metrics.txt"
 
 
-# Every setting, with the type a config file, the environment or a flag
-# must give it.
-SETTING_TYPES = {
-    "tasks_path": str, "docs_path": str, "corpus_path": str, "out_dir": str, "seed": int,
-    "task": str, "embedding_url": str, "embedding_timeout": float,
-    # step library / grounding
-    "top_m_docs": int, "keyword_threshold": float, "relaxed_keyword_threshold": float,
-    "k1": float, "k2": float, "k3": float, "asr_min_words": int, "stop_words": tuple,
+# Every setting: the type a config file, the environment or a flag must
+# give it, and its default (None: unset).
+SETTINGS = {
+    "tasks_path": (str, None), "docs_path": (str, None), "corpus_path": (str, None),
+    "out_dir": (str, "out"), "seed": (int, None), "task": (str, None),
+    "embedding_url": (str, None), "embedding_timeout": (float, 10.0),
+    # Document matching: a title must contain keyword_threshold of the
+    # task-name keywords; when fewer than top_m_docs titles pass, the filter
+    # is re-run at relaxed_keyword_threshold.
+    "top_m_docs": (int, 10), "keyword_threshold": (float, 0.85),
+    "relaxed_keyword_threshold": (float, 0.75),
+    # Grounding: k1 gates annotation matches, k2 gates whole narrated videos
+    # by title similarity, and k3 gates individual transcript pieces.
+    "k1": (float, 0.35), "k2": (float, 0.75), "k3": (float, 0.40),
+    "asr_min_words": (int, 10), "stop_words": (tuple, ("subscribe", "channel", "sponsor")),
     # corpus statistics
-    "frequency_threshold": int,
+    "frequency_threshold": (int, corpuslib.FREQUENCY_THRESHOLD),
     # path model
-    "order": int, "smoothing_lambda": float,
+    "order": (int, 2), "smoothing_lambda": (float, 0.1),
     # losses
-    "epoch": int, "num_negatives": int, "max_shuffle_attempts": int,
-    "temperature": float, "alpha": float,
-    # decoding / graph
-    "beam_width": int, "max_steps": int, "prune_threshold": float,
+    "epoch": (int, 0), "num_negatives": (int, 3), "max_shuffle_attempts": (int, 100),
+    "temperature": (float, 0.1), "alpha": (float, 1.0),
+    # decoding (max_steps unset: twice the library size) / graph
+    "beam_width": (int, 40), "max_steps": (int, None), "prune_threshold": (float, PRUNE_THRESHOLD),
     # evaluation
-    "train_fraction": float,
+    "train_fraction": (float, TRAIN_FRACTION),
 }
-_SUBCONFIGS = (GroundingConfig, PathModelConfig, DecodeConfig, NegativeGenConfig, LossConfig)
-
-
-def _setting_defaults() -> dict:
-    """Each setting's default: a sub-config's own where one takes the setting, else None."""
-    defaults = {
-        "out_dir": "out", "embedding_timeout": 10.0,
-        "frequency_threshold": corpuslib.FREQUENCY_THRESHOLD, "epoch": 0,
-        "prune_threshold": PRUNE_THRESHOLD, "train_fraction": TRAIN_FRACTION,
-    }
-    for subconfig in _SUBCONFIGS:
-        defaults.update(vars(subconfig()))
-    return {name: defaults.get(name) for name in SETTING_TYPES}
-
-
-SETTING_DEFAULTS = _setting_defaults()
 
 
 class PipelineConfig(Record):
-    """Every setting in SETTING_TYPES, by keyword, each defaulting to
-    SETTING_DEFAULTS.
+    """Every setting in SETTINGS, by keyword, each defaulting to its entry there.
 
-    The sub-configs are built once from the settings, so that an
-    out-of-range value fails as BadConfig when the settings are merged,
-    not mid-stage.
+    Every range check is made here, so that an out-of-range value fails as
+    BadConfig when the settings are merged, not mid-stage.
     """
 
-    _fields = tuple(SETTING_TYPES)
+    _fields = tuple(SETTINGS)
+    # (settings, the test each value must pass, the rule a failing value breaks)
+    _RANGES = (
+        (("keyword_threshold", "relaxed_keyword_threshold", "k1", "k2", "k3"),
+         lambda v: 0.0 <= v <= 1.0, "must be in [0, 1], got {}"),
+        (("top_m_docs", "asr_min_words", "order", "beam_width", "max_shuffle_attempts"),
+         lambda v: v >= 1, "must be at least 1"),
+        (("smoothing_lambda", "num_negatives", "alpha", "epoch"),
+         lambda v: v >= 0, "must be non-negative"),
+        (("max_steps",), lambda v: v is None or v >= 0, "must be non-negative"),
+        (("temperature", "embedding_timeout"), lambda v: v > 0, "must be positive"),
+        (("train_fraction",), lambda v: 0.0 < v < 1.0, "must be strictly between 0 and 1"),
+    )
 
     def __init__(self, **settings):
-        unknown = sorted(settings.keys() - SETTING_DEFAULTS.keys())
+        unknown = sorted(settings.keys() - SETTINGS.keys())
         if unknown:
             raise TypeError(f"PipelineConfig got unknown settings {unknown}")
-        for name, default in SETTING_DEFAULTS.items():
+        for name, (_, default) in SETTINGS.items():
             setattr(self, name, settings.get(name, default))
-        try:
-            self.grounding = GroundingConfig(**self._settings_of(GroundingConfig))
-            self.pathmodel = PathModelConfig(**self._settings_of(PathModelConfig))
-            self.decode = DecodeConfig(**self._settings_of(DecodeConfig))
-            self.negatives = NegativeGenConfig(**self._settings_of(NegativeGenConfig))
-            self.loss = LossConfig(**self._settings_of(LossConfig))
-            self.mixture = curriculum_mixture(self.epoch)
-            if self.embedding_timeout <= 0:
-                raise ValueError("embedding_timeout must be positive")
-            if not 0.0 < self.train_fraction < 1.0:
-                raise ValueError("train_fraction must be strictly between 0 and 1")
-        except ValueError as exc:
-            raise BadConfig(f"invalid setting: {exc}") from None
-
-    def _settings_of(self, subconfig) -> dict:
-        """This config's values of the settings that subconfig takes."""
-        return {name: getattr(self, name) for name in subconfig._fields if name in SETTING_TYPES}
+        for names, valid, rule in self._RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise BadConfig(f"invalid setting: {name} {rule.format(value)}")
 
 
 _EXPECTED = {
@@ -187,10 +172,10 @@ def _parse_setting(raw: str):
 
 def _coerce(key: str, value):
     """value checked against the setting's type; null only where the default is None."""
-    kind = SETTING_TYPES.get(key)
-    if kind is None:
+    if key not in SETTINGS:
         raise BadConfig(f"unknown setting {key!r}")
-    if value is None and SETTING_DEFAULTS[key] is None:
+    kind, default = SETTINGS[key]
+    if value is None and default is None:
         return None
     if kind is tuple:
         valid = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
@@ -228,7 +213,7 @@ def read_config_file(path: str | Path) -> dict:
 
 def _env_settings() -> dict:
     settings = {}
-    for key in SETTING_TYPES:
+    for key in SETTINGS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             settings[key] = _coerce(key, _parse_setting(raw))
@@ -241,7 +226,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
     merged.update(_env_settings())
-    for key in SETTING_TYPES:
+    for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
@@ -293,7 +278,7 @@ def cmd_library(cfg: PipelineConfig) -> int:
     task = _select_task(cfg)
     docs = load_candidate_docs(cfg.docs_path)
     provider = _provider(cfg, [title for title, _ in docs] + [task.task_name])
-    ranked = match_task_documents(task, docs, provider, cfg.grounding)
+    ranked = match_task_documents(task, docs, provider, cfg)
     library = corpuslib.build_step_library(task, ranked)
     path = _out_path(cfg, LIBRARY_FILE)
     corpuslib.save_library(library, path)
@@ -306,7 +291,6 @@ def cmd_ground(cfg: PipelineConfig) -> int:
     task = _select_task(cfg)
     library = corpuslib.load_library(_artifact(cfg, LIBRARY_FILE))
     records = [r for r in load_raw_records(cfg.corpus_path) if r.task_id == task.task_id]
-    gcfg = cfg.grounding
 
     corpus_texts = library.texts() + [task.task_name]
     for record in records:
@@ -319,14 +303,14 @@ def cmd_ground(cfg: PipelineConfig) -> int:
     skipped = 0
     for record in records:
         if record.kind == "asr" and record.title is not None:
-            if not video_passes_task_filter(record.title, task, provider, gcfg):
+            if not video_passes_task_filter(record.title, task, provider, cfg.k2):
                 skipped += 1
                 continue
         try:
             if record.kind == "labelled":
-                grounded.append(ground_labelled_sequence(record, library, provider, gcfg))
+                grounded.append(ground_labelled_sequence(record, library, provider, cfg.k1))
             else:
-                grounded.append(ground_asr_sequence(record, library, provider, gcfg))
+                grounded.append(ground_asr_sequence(record, library, provider, cfg))
         except EmptySequence:
             skipped += 1
 
@@ -352,7 +336,7 @@ def cmd_stats(cfg: PipelineConfig) -> int:
 def cmd_train(cfg: PipelineConfig) -> int:
     library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
-    model = train_path_model(sequences, library, cfg.pathmodel)
+    model = train_path_model(sequences, library, cfg)
     path = _out_path(cfg, MODEL_FILE)
     save_model(model, path)
     print(f"wrote {path} ({len(model.counts)} contexts)")
@@ -364,11 +348,9 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = load_model(_artifact(cfg, MODEL_FILE), library)
     provider = _provider(cfg, library.texts())
-    mixture = cfg.mixture
+    mixture = curriculum_mixture(cfg.epoch)
     rng = random.Random(f"{cfg.seed}:losses")
     valid_set = {tuple(seq.step_ids) for seq in sequences}
-    ncfg = cfg.negatives
-    lcfg = cfg.loss
 
     generated = greedy_completion(model)
     z_generated = sequence_representation(generated, library, provider) if generated else None
@@ -382,13 +364,15 @@ def cmd_losses(cfg: PipelineConfig) -> int:
         for _ in range(cfg.num_negatives):
             method = draw_negative_method(mixture, rng)
             try:
-                negative = generate_negative(seq.step_ids, method, library, valid_set, ncfg, rng)
+                negative = generate_negative(
+                    seq.step_ids, method, library, valid_set, cfg.max_shuffle_attempts, rng
+                )
             except DegenerateInput:
                 continue
             methods.append(method)
             z_negatives.append(sequence_representation(negative, library, provider))
         batch = ContrastiveBatch(z_g, z_p, z_negatives)
-        contrastive, _, total = path_level_losses(batch, nll, lcfg)
+        contrastive, _, total = path_level_losses(batch, nll, cfg)
         rows.append(
             {
                 "video_id": seq.video_id,
@@ -420,7 +404,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
     library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
     model = load_model(_artifact(cfg, MODEL_FILE), library)
     trie = build_prefix_trie(library)
-    results = constrained_beam_search(model, trie, cfg.decode)
+    results = constrained_beam_search(model, trie, cfg)
     path = _out_path(cfg, DECODED_FILE)
     write_jsonl(decoded_to_rows(library.task_id, results), path)
     print(f"wrote {path} ({len(results)} paths)")
@@ -450,7 +434,7 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
-    model = train_path_model(split.train, library, cfg.pathmodel)
+    model = train_path_model(split.train, library, cfg)
 
     docs = library.doc_sequences
     systems = {
@@ -537,7 +521,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--split", dest="train_fraction", type=float,
-        help=f"train fraction (default {TRAIN_FRACTION:.2f})",
+        help=f"train fraction (default {SETTINGS['train_fraction'][1]:.2f})",
     )
 
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import StepLibrary
 from .errors import DegenerateInput, EmptySequence
@@ -19,30 +19,10 @@ from .pathmodel import check_steps
 from .record import Record
 from .similarity import SimilarityProvider, cosine
 
+if TYPE_CHECKING:
+    from .cli import PipelineConfig
+
 NEGATIVE_METHODS = ("resample", "shuffle", "cutswap")
-
-
-class NegativeGenConfig(Record):
-    _fields = ("num_negatives", "max_shuffle_attempts", "rng_seed")
-
-    def __init__(self, num_negatives: int = 3, max_shuffle_attempts: int = 100, rng_seed: int = 0):
-        self.num_negatives, self.rng_seed = num_negatives, rng_seed
-        self.max_shuffle_attempts = max_shuffle_attempts
-        if num_negatives < 0:
-            raise ValueError("num_negatives must be non-negative")
-        if max_shuffle_attempts < 1:
-            raise ValueError("max_shuffle_attempts must be at least 1")
-
-
-class LossConfig(Record):
-    _fields = ("temperature", "alpha")
-
-    def __init__(self, temperature: float = 0.1, alpha: float = 1.0):
-        self.temperature, self.alpha = temperature, alpha
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
 
 
 class ContrastiveBatch(Record):
@@ -68,8 +48,6 @@ def curriculum_mixture(epoch: int) -> MixtureWeights:
     per block until shuffle owns everything at epoch 25, then 20% per
     block from shuffle to cutswap, capped at pure cutswap.
     """
-    if epoch < 0:
-        raise ValueError("epoch must be non-negative")
     block = epoch // 5
     if block <= 0:
         return MixtureWeights(1.0, 0.0, 0.0)
@@ -94,8 +72,8 @@ def generate_negative(
     method: str,
     library: StepLibrary,
     valid_set: set,
-    cfg: NegativeGenConfig | None = None,
-    rng: random.Random | None = None,
+    max_shuffle_attempts: int,
+    rng: random.Random,
 ) -> list[int]:
     """Corrupt a positive sequence into a guaranteed-invalid negative.
 
@@ -104,9 +82,8 @@ def generate_negative(
     and cutswap rotates it at a random cut, so both keep the step set but
     break the order. Every method returns a sequence that differs from
     the positive and is not in valid_set, a set of step-id tuples.
+    resample and shuffle draw at most max_shuffle_attempts candidates.
     """
-    cfg = cfg or NegativeGenConfig()
-    rng = rng or random.Random(cfg.rng_seed)
     positive = list(positive)
     if not positive:
         raise DegenerateInput("cannot corrupt an empty sequence")
@@ -118,7 +95,7 @@ def generate_negative(
             raise DegenerateInput(
                 f"cannot resample {len(positive)} steps from a library of {len(ids)}"
             )
-        for _ in range(cfg.max_shuffle_attempts):
+        for _ in range(max_shuffle_attempts):
             candidate = rng.sample(ids, len(positive))
             if tuple(candidate) != target and tuple(candidate) not in valid_set:
                 return candidate
@@ -127,7 +104,7 @@ def generate_negative(
     if method == "shuffle":
         if len(positive) < 2:
             raise DegenerateInput("cannot shuffle a single-step sequence")
-        for _ in range(cfg.max_shuffle_attempts):
+        for _ in range(max_shuffle_attempts):
             candidate = positive[:]
             rng.shuffle(candidate)
             if tuple(candidate) != target and tuple(candidate) not in valid_set:
@@ -173,7 +150,7 @@ def sequence_representation(
 
 
 def path_level_losses(
-    batch: ContrastiveBatch, nll: float, cfg: LossConfig | None = None
+    batch: ContrastiveBatch, nll: float, cfg: PipelineConfig
 ) -> tuple[float, float, float]:
     """(contrastive, cross-entropy, total) losses for one batch.
 
@@ -182,7 +159,6 @@ def path_level_losses(
     negatives; with no negatives it is exactly zero. The cross-entropy
     part is the supplied sequence NLL, and total = ce + alpha * contrastive.
     """
-    cfg = cfg or LossConfig()
     z_g = batch.z_generated
     sims = [cosine(z_g, batch.z_positive)] + [cosine(z_g, z_n) for z_n in batch.z_negatives]
     scaled = [s / cfg.temperature for s in sims]

@@ -357,8 +357,11 @@ def checked_int(value) -> int:
     return value
 
 
-def checked_float(value) -> float:
-    """value as a float when it is a JSON number; a boolean or string is a ValueError."""
+def checked_float(value, optional: bool = False) -> float | None:
+    """value as a float when it is a JSON number (or null, when optional); a
+    boolean or string is a ValueError."""
+    if optional and value is None:
+        return None
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
@@ -393,7 +396,11 @@ def _candidate_doc(row) -> tuple[str, list[str]]:
 
 def _record(row) -> RawSequenceRecord:
     items = [
-        SequenceItem(checked_str(item["text"], "item text"), item.get("start"), item.get("end"))
+        SequenceItem(
+            checked_str(item["text"], "item text"),
+            checked_float(item.get("start"), optional=True),
+            checked_float(item.get("end"), optional=True),
+        )
         for item in row["items"]
     ]
     record = RawSequenceRecord(

@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import TYPE_CHECKING
 
 from .corpus import StepLibrary, checked_float, checked_int, parse_rows
 from .errors import EmptyLibrary, NoCompletion
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, next_step_distribution  # noqa: F401
-from .record import Record
 
-
-class DecodeConfig(Record):
-    _fields = ("beam_width", "max_steps")
-
-    def __init__(self, beam_width: int = 40, max_steps: int | None = None):
-        self.beam_width, self.max_steps = beam_width, max_steps  # max_steps None: 2 * library size
-        if beam_width < 1:
-            raise ValueError("beam_width must be at least 1")
-        if max_steps is not None and max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
+if TYPE_CHECKING:
+    from .cli import PipelineConfig
 
 
 class PrefixTrie:
@@ -52,15 +44,15 @@ def build_prefix_trie(library: StepLibrary) -> PrefixTrie:
 
 
 def constrained_beam_search(
-    model: PathModel, trie: PrefixTrie, cfg: DecodeConfig | None = None
+    model: PathModel, trie: PrefixTrie, cfg: PipelineConfig
 ) -> list[tuple[list[int], float]]:
     """Decode the most likely step paths, banning repeated steps.
 
-    Returns up to beam_width completed paths sorted by log probability
+    Returns up to cfg.beam_width completed paths sorted by log probability
     (descending, ties by sequence). Each path ends when the model emits
     END; its score is the raw accumulated log probability, the negation
     of sequence_nll for that path. Raises NoCompletion when nothing
-    reaches END within max_steps.
+    reaches END within cfg.max_steps (unset: twice the library size).
 
     Each depth scores every child of the beam from its parent's log-prob
     row and prefix score, skipping used steps and zero-probability moves.
@@ -71,7 +63,6 @@ def constrained_beam_search(
     of them can have no finishing descendant and is dropped; the search
     stops when no item is left.
     """
-    cfg = cfg or DecodeConfig()
     if trie.library.texts() != model.library.texts():
         raise ValueError("trie and model were built over different libraries")
     n_steps = len(model.library.steps)

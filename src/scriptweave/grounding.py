@@ -8,7 +8,7 @@ objects whose step ids index the library.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import RawSequenceRecord, Step, StepLibrary, TaskSpec
 from .corpus import checked_float, checked_int, parse_rows
@@ -18,51 +18,13 @@ from .jsonio import read_jsonl, write_jsonl  # noqa: F401
 from .record import Record
 from .similarity import SimilarityProvider, tokenize
 
+if TYPE_CHECKING:
+    from .cli import PipelineConfig
+
 # Generic words ignored when extracting task-name keywords.
 _KEYWORD_STOPWORDS = frozenset(
     {"a", "an", "and", "for", "how", "in", "of", "on", "or", "the", "to", "with", "your"}
 )
-
-
-class GroundingConfig(Record):
-    """Thresholds for document matching and sequence grounding.
-
-    keyword_threshold is the fraction of task-name keywords a document
-    title must contain; when fewer than top_m_docs titles pass, the filter
-    is re-run at relaxed_keyword_threshold. k1 gates annotation matches,
-    k2 gates whole narrated videos by title similarity, and k3 gates
-    individual transcript pieces.
-    """
-
-    _fields = (
-        "top_m_docs", "keyword_threshold", "relaxed_keyword_threshold",
-        "k1", "k2", "k3", "asr_min_words", "stop_words",
-    )
-
-    def __init__(
-        self,
-        top_m_docs: int = 10,
-        keyword_threshold: float = 0.85,
-        relaxed_keyword_threshold: float = 0.75,
-        k1: float = 0.35,
-        k2: float = 0.75,
-        k3: float = 0.40,
-        asr_min_words: int = 10,
-        stop_words: Sequence[str] = ("subscribe", "channel", "sponsor"),
-    ):
-        self.top_m_docs, self.asr_min_words = top_m_docs, asr_min_words
-        self.keyword_threshold = keyword_threshold
-        self.relaxed_keyword_threshold = relaxed_keyword_threshold
-        self.k1, self.k2, self.k3 = k1, k2, k3
-        for name in ("keyword_threshold", "relaxed_keyword_threshold", "k1", "k2", "k3"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if top_m_docs < 1:
-            raise ValueError("top_m_docs must be at least 1")
-        if asr_min_words < 1:
-            raise ValueError("asr_min_words must be at least 1")
-        self.stop_words = tuple(stop_words)
 
 
 class GroundedSequence(Record):
@@ -89,7 +51,7 @@ def match_task_documents(
     task: TaskSpec,
     all_docs: Sequence[tuple[str, Sequence[str]]],
     provider: SimilarityProvider,
-    cfg: GroundingConfig | None = None,
+    cfg: PipelineConfig,
 ) -> list[tuple[str, Sequence[str]]]:
     """Pick the documents most likely describing this task.
 
@@ -98,7 +60,6 @@ def match_task_documents(
     title similarity to the task name, best first, and the top_m_docs
     best are returned. Ties keep their input order.
     """
-    cfg = cfg or GroundingConfig()
     if not all_docs:
         raise NoDocuments(f"no candidate documents for task {task.task_id!r}")
     keywords = task_keywords(task.task_name)
@@ -120,10 +81,7 @@ def match_task_documents(
 
 
 def ground_labelled_sequence(
-    record: RawSequenceRecord,
-    library: StepLibrary,
-    provider: SimilarityProvider,
-    cfg: GroundingConfig | None = None,
+    record: RawSequenceRecord, library: StepLibrary, provider: SimilarityProvider, k1: float
 ) -> GroundedSequence:
     """Ground human annotations by greedy one-to-one assignment.
 
@@ -132,13 +90,12 @@ def ground_labelled_sequence(
     and a pair is assigned when both sides are still free. Annotations
     left unassigned count as dropped. Output follows annotation order.
     """
-    cfg = cfg or GroundingConfig()
     if record.kind != "labelled":
         raise ValueError(f"record {record.video_id!r} is not a labelled record")
     texts = [item.text for item in record.items]
     step_texts = library.texts()
 
-    similarity, k1 = provider.similarity, cfg.k1
+    similarity = provider.similarity
     pairs = []
     for i, text in enumerate(texts):
         for j, step_text in enumerate(step_texts):
@@ -167,7 +124,7 @@ def ground_labelled_sequence(
     return GroundedSequence(record.video_id, record.task_id, step_ids, scores, dropped)
 
 
-def preprocess_asr(items: Sequence[str], cfg: GroundingConfig | None = None) -> list[str]:
+def preprocess_asr(items: Sequence[str], cfg: PipelineConfig) -> list[str]:
     """Clean and re-chunk transcript items.
 
     Items containing any stop word (matched case-insensitively on word
@@ -176,7 +133,6 @@ def preprocess_asr(items: Sequence[str], cfg: GroundingConfig | None = None) -> 
     trailing remainder is folded into the previous piece; when the whole
     input is shorter than the minimum it becomes a single piece.
     """
-    cfg = cfg or GroundingConfig()
     stop_tokens = [tuple(tokenize(word)) for word in cfg.stop_words]
     kept = [text for text in items if not _contains_stop_word(text, stop_tokens)]
 
@@ -218,7 +174,7 @@ def ground_asr_sequence(
     record: RawSequenceRecord,
     library: StepLibrary,
     provider: SimilarityProvider,
-    cfg: GroundingConfig | None = None,
+    cfg: PipelineConfig,
 ) -> GroundedSequence:
     """Ground a narrated video: best-scoring step per transcript piece.
 
@@ -227,7 +183,6 @@ def ground_asr_sequence(
     having accepted the video at task level first (see
     video_passes_task_filter).
     """
-    cfg = cfg or GroundingConfig()
     if record.kind != "asr":
         raise ValueError(f"record {record.video_id!r} is not an asr record")
     pieces = preprocess_asr([item.text for item in record.items], cfg)
@@ -260,14 +215,10 @@ def ground_asr_sequence(
 
 
 def video_passes_task_filter(
-    video_title: str,
-    task: TaskSpec,
-    provider: SimilarityProvider,
-    cfg: GroundingConfig | None = None,
+    video_title: str, task: TaskSpec, provider: SimilarityProvider, k2: float
 ) -> bool:
     """Whether a narrated video is similar enough to the task to ground at all."""
-    cfg = cfg or GroundingConfig()
-    return provider.similarity(video_title, task.task_name) >= cfg.k2
+    return provider.similarity(video_title, task.task_name) >= k2
 
 
 def prune_unused_steps(

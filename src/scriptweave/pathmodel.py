@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import StepLibrary, checked_float, checked_int, parse_checked
 from .errors import EmptyCorpus, UnknownStep
 from .jsonio import read_json, write_json
 from .record import Record
+
+if TYPE_CHECKING:
+    from .cli import PipelineConfig
 
 START = -1
 END = -2
@@ -29,22 +32,13 @@ END = -2
 Row = tuple[float, ...]
 
 
-class PathModelConfig(Record):
-    _fields = ("order", "smoothing_lambda")
-
-    def __init__(self, order: int = 2, smoothing_lambda: float = 0.1):
-        self.order, self.smoothing_lambda = order, smoothing_lambda
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if smoothing_lambda < 0:
-            raise ValueError("smoothing_lambda must be non-negative")
-
-
 class PathModel(Record):
-    _fields = ("library", "config", "counts", "totals")
+    _fields = ("library", "order", "smoothing_lambda", "counts", "totals")
 
-    def __init__(self, library: StepLibrary, config: PathModelConfig, counts: dict, totals: dict):
-        self.library, self.config = library, config
+    def __init__(
+        self, library: StepLibrary, order: int, smoothing_lambda: float, counts: dict, totals: dict
+    ):
+        self.library, self.order, self.smoothing_lambda = library, order, smoothing_lambda
         self.counts = counts  # context tuple -> Counter of next step ids (END included)
         self.totals = totals  # context tuple -> sum of its counts
         self._rows: dict = {}  # context -> (prob, logprob) rows, filled by rows()
@@ -65,11 +59,8 @@ class PathModel(Record):
         return rows
 
 
-def train_path_model(
-    sequences, library: StepLibrary, cfg: PathModelConfig | None = None
-) -> PathModel:
+def train_path_model(sequences, library: StepLibrary, cfg: PipelineConfig) -> PathModel:
     """Count transitions of every order from 1 up to cfg.order."""
-    cfg = cfg or PathModelConfig()
     sequences = list(sequences)
     if not sequences:
         raise EmptyCorpus("path model training needs at least one sequence")
@@ -83,7 +74,7 @@ def train_path_model(
             for k in range(1, cfg.order + 1):
                 counts[tuple(tokens[pos - k : pos])][nxt] += 1
     totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
-    return PathModel(library, cfg, dict(counts), totals)
+    return PathModel(library, cfg.order, cfg.smoothing_lambda, dict(counts), totals)
 
 
 def next_step_distribution(model: PathModel, prefix: Sequence[int]) -> dict[int, float]:
@@ -125,7 +116,7 @@ def check_steps(step_ids: Sequence[int], library: StepLibrary) -> None:
 def _effective_context(model: PathModel, prefix: Sequence[int]) -> tuple[int, ...]:
     # Highest order whose context was observed; order 1 is the floor even
     # when unseen, where smoothing alone decides the distribution.
-    order = model.config.order
+    order = model.order
     tail = ((START,) * order + tuple(prefix[-order:]))[-order:]
     for k in range(order, 1, -1):
         ctx = tail[-k:]
@@ -138,7 +129,7 @@ def _context_rows(model: PathModel, ctx: tuple[int, ...]) -> tuple[Row, Row]:
     # Per cell, the IEEE operations of scoring one transition:
     # (count + lam) / (total + lam * V1), count / total, or 1 / V1.
     size = model.vocabulary_size
-    lam = model.config.smoothing_lambda
+    lam = model.smoothing_lambda
     total = model.totals.get(ctx, 0)
     counts = [0] * size
     for nxt, count in model.counts.get(ctx, {}).items():
@@ -160,8 +151,8 @@ def model_to_json(model: PathModel) -> dict:
         }
         contexts.append({"ctx": list(ctx), "counts": counts})
     return {
-        "order": model.config.order,
-        "lambda": model.config.smoothing_lambda,
+        "order": model.order,
+        "lambda": model.smoothing_lambda,
         "contexts": contexts,
     }
 
@@ -169,7 +160,11 @@ def model_to_json(model: PathModel) -> dict:
 def model_from_json(data: dict, library: StepLibrary) -> PathModel:
     """Rebuild a model; START outside a context, END outside the next steps,
     or any other id not in the library is UnknownStep."""
-    cfg = PathModelConfig(checked_int(data["order"]), checked_float(data["lambda"]))
+    order, lam = checked_int(data["order"]), checked_float(data["lambda"])
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if lam < 0:
+        raise ValueError("smoothing_lambda must be non-negative")
     counts: dict[tuple[int, ...], Counter] = {}
     for entry in data["contexts"]:
         ctx = tuple(checked_int(t) for t in entry["ctx"])
@@ -182,7 +177,7 @@ def model_from_json(data: dict, library: StepLibrary) -> PathModel:
             counter[END if key == "END" else int(key)] = value
         counts[ctx] = counter
     totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
-    return PathModel(library, cfg, counts, totals)
+    return PathModel(library, order, lam, counts, totals)
 
 
 def _step_key(key: str) -> int:

@@ -145,7 +145,7 @@ class HttpEmbeddingProvider:
     keeps nothing. Returned vectors are shared tuples.
     """
 
-    def __init__(self, base_url: str, timeout: float = 10.0):
+    def __init__(self, base_url: str, timeout: float):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self._vectors: dict[str, tuple[float, ...]] = {}

@@ -28,19 +28,18 @@ from scriptweave.cli import (
     METRICS_TEXT_FILE,
     MODEL_FILE,
     STATS_FILE,
+    PipelineConfig,
     run_command,
 )
 from scriptweave.contrastive import (
     ContrastiveBatch,
-    LossConfig,
-    NegativeGenConfig,
     curriculum_mixture,
     draw_negative_method,
     generate_negative,
     path_level_losses,
 )
 from scriptweave.corpus import Step, StepLibrary, corpus_statistics, levenshtein, normalized_levenshtein
-from scriptweave.decoder import DecodeConfig, build_prefix_trie, constrained_beam_search
+from scriptweave.decoder import build_prefix_trie, constrained_beam_search
 from scriptweave.errors import EmptySequence
 from scriptweave.evalharness import (
     EvalExample,
@@ -53,7 +52,6 @@ from scriptweave.evalharness import (
 from scriptweave.graphgen import classify_relations, induce_graph
 from scriptweave.grounding import (
     GroundedSequence,
-    GroundingConfig,
     ground_asr_sequence,
     ground_labelled_sequence,
 )
@@ -61,7 +59,6 @@ from scriptweave.corpus import RawSequenceRecord, SequenceItem
 from scriptweave.pathmodel import (
     END,
     START,
-    PathModelConfig,
     next_step_distribution,
     sequence_nll,
     train_path_model,
@@ -98,9 +95,9 @@ def test_criterion_01_planted_graph_recovered_exactly():
     ]
     sequences = [grounded(f"g{i}", path, "plant") for i, path in enumerate(valid_paths)]
 
-    model = train_path_model(sequences, library, PathModelConfig(order=2, smoothing_lambda=0.01))
+    model = train_path_model(sequences, library, PipelineConfig(order=2, smoothing_lambda=0.01))
     trie = build_prefix_trie(library)
-    decoded = constrained_beam_search(model, trie, DecodeConfig(beam_width=40))
+    decoded = constrained_beam_search(model, trie, PipelineConfig(beam_width=40))
 
     decoded_paths = {tuple(steps) for steps, _ in decoded}
     for path in valid_paths:
@@ -181,7 +178,7 @@ def test_criterion_02_contrastive_loss_matches_direct_formula():
             np.array(z_g), np.array(z_p), [np.array(z) for z in negatives]
         )
         contrastive, cross_entropy, total = path_level_losses(
-            batch, nll, LossConfig(temperature=temperature, alpha=alpha)
+            batch, nll, PipelineConfig(temperature=temperature, alpha=alpha)
         )
 
         sims = [naive_cosine(z_g, z_p)] + [naive_cosine(z_g, z_n) for z_n in negatives]
@@ -194,7 +191,7 @@ def test_criterion_02_contrastive_loss_matches_direct_formula():
 
     # aligned positive, orthogonal negative: loss is exactly log(1 + e^-10)
     batch = ContrastiveBatch(np.array([1.0, 0.0]), np.array([2.0, 0.0]), [np.array([0.0, 3.0])])
-    contrastive, _, _ = path_level_losses(batch, 0.0, LossConfig(temperature=0.1))
+    contrastive, _, _ = path_level_losses(batch, 0.0, PipelineConfig(temperature=0.1))
     assert abs(contrastive - math.log(1.0 + math.exp(-10.0))) <= 1e-12
 
 
@@ -215,7 +212,7 @@ def test_criterion_03_sequence_nll_equals_stepwise_accumulation():
         for _ in range(rng.randint(1, 4)):
             length = rng.randint(1, min(n_steps, 6))
             paths.append(rng.sample(range(n_steps), length))
-        config = PathModelConfig(
+        config = PipelineConfig(
             order=rng.randint(1, 3),
             smoothing_lambda=rng.choice([0.01, 0.1, 1.0]),
         )
@@ -240,7 +237,7 @@ def test_criterion_03_sequence_nll_equals_stepwise_accumulation():
         for path in ([0], [0, 1, 2], [2, 0, 3, 1]):
             library = make_library(4)
             model = train_path_model(
-                [grounded("only", path)], library, PathModelConfig(order=order, smoothing_lambda=0.0)
+                [grounded("only", path)], library, PipelineConfig(order=order, smoothing_lambda=0.0)
             )
             assert sequence_nll(model, path) == 0.0
 
@@ -269,7 +266,7 @@ def test_criterion_04_negatives_always_invalid_with_scheduled_methods():
         mixture = curriculum_mixture(i % 61)
         method = draw_negative_method(mixture, gen_rng)
         negative = generate_negative(
-            positive, method, library, valid_set, NegativeGenConfig(), gen_rng
+            positive, method, library, valid_set, PipelineConfig().max_shuffle_attempts, gen_rng
         )
         method_counts[method] += 1
 
@@ -309,7 +306,7 @@ def test_criterion_05_decoding_constrained_scored_and_exhaustive():
         for _ in range(rng.randint(1, 4)):
             length = rng.randint(1, min(n_steps, 6))
             paths.append(rng.sample(range(n_steps), length))
-        config = PathModelConfig(
+        config = PipelineConfig(
             order=rng.randint(1, 3),
             smoothing_lambda=rng.choice([0.01, 0.1, 1.0]),
         )
@@ -322,7 +319,7 @@ def test_criterion_05_decoding_constrained_scored_and_exhaustive():
         n_steps = rng.randint(2, 12)
         model, trie = random_model(n_steps)
         beam_width = rng.randint(1, 40)
-        results = constrained_beam_search(model, trie, DecodeConfig(beam_width=beam_width))
+        results = constrained_beam_search(model, trie, PipelineConfig(beam_width=beam_width))
 
         assert len(results) <= beam_width
         step_ids = set(range(n_steps))
@@ -334,7 +331,7 @@ def test_criterion_05_decoding_constrained_scored_and_exhaustive():
     for _ in range(300):
         n_steps = rng.choice([2, 3])
         model, trie = random_model(n_steps)
-        results = constrained_beam_search(model, trie, DecodeConfig(beam_width=64))
+        results = constrained_beam_search(model, trie, PipelineConfig(beam_width=64))
 
         universe = set()
         for length in range(n_steps + 1):
@@ -381,7 +378,7 @@ def greedy_pairs(matrix, k1):
     """(row, column) pairs chosen by the production grounding path."""
     record, library, provider = labelled_world(matrix)
     try:
-        out = ground_labelled_sequence(record, library, provider, GroundingConfig(k1=k1))
+        out = ground_labelled_sequence(record, library, provider, k1)
     except EmptySequence:
         return set()
     pairs = set()
@@ -470,7 +467,7 @@ def test_criterion_06_greedy_matching_matches_bruteforce_and_thresholds_monotone
         previous_kept = None
         previous_dropped = None
         for k3 in thresholds:
-            config = GroundingConfig(k3=k3, asr_min_words=1)
+            config = PipelineConfig(k3=k3, asr_min_words=1)
             try:
                 out = ground_asr_sequence(record, library, provider, config)
                 kept, dropped = set(out.step_ids), out.dropped
@@ -608,7 +605,7 @@ def test_criterion_09_model_beats_linear_beats_random():
     for seed in range(10):
         sequences = world(seed)
         split = build_eval_splits(sequences, train_fraction=0.40, rng_seed=seed)
-        model = train_path_model(split.train, library, PathModelConfig(order=2, smoothing_lambda=0.1))
+        model = train_path_model(split.train, library, PipelineConfig(order=2, smoothing_lambda=0.1))
 
         predictions = {
             "model": model_predict_next(model, split),

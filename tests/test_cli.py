@@ -1,5 +1,6 @@
 """Command-line pipeline: wiring, configuration, and error reporting."""
 
+import argparse
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ from scriptweave.cli import (
     METRICS_JSON_FILE,
     METRICS_TEXT_FILE,
     MODEL_FILE,
+    SETTINGS,
     STATS_FILE,
     PipelineConfig,
     build_config,
@@ -376,6 +378,68 @@ class TestConfigMerging:
             build_config(self.parse(["stats"]))
 
 
+# One out-of-range value per range-checked setting, and the message it gives.
+OUT_OF_RANGE = [
+    ("keyword_threshold", "1.5", "keyword_threshold must be in [0, 1], got 1.5"),
+    ("relaxed_keyword_threshold", "-0.1", "relaxed_keyword_threshold must be in [0, 1], got -0.1"),
+    ("k1", "1.01", "k1 must be in [0, 1], got 1.01"),
+    ("k2", "-1", "k2 must be in [0, 1], got -1.0"),
+    ("k3", "2", "k3 must be in [0, 1], got 2.0"),
+    ("top_m_docs", "0", "top_m_docs must be at least 1"),
+    ("asr_min_words", "0", "asr_min_words must be at least 1"),
+    ("order", "0", "order must be at least 1"),
+    ("beam_width", "0", "beam_width must be at least 1"),
+    ("max_shuffle_attempts", "0", "max_shuffle_attempts must be at least 1"),
+    ("smoothing_lambda", "-0.1", "smoothing_lambda must be non-negative"),
+    ("num_negatives", "-1", "num_negatives must be non-negative"),
+    ("alpha", "-1.0", "alpha must be non-negative"),
+    ("epoch", "-1", "epoch must be non-negative"),
+    ("max_steps", "-1", "max_steps must be non-negative"),
+    ("temperature", "0", "temperature must be positive"),
+    ("embedding_timeout", "-2.5", "embedding_timeout must be positive"),
+    ("train_fraction", "1.0", "train_fraction must be strictly between 0 and 1"),
+    ("train_fraction", "0", "train_fraction must be strictly between 0 and 1"),
+]
+
+# The edge of each range, which the check accepts.
+IN_RANGE = [
+    ("keyword_threshold", 1.0), ("relaxed_keyword_threshold", 0.0), ("k1", 0.0), ("k2", 1.0),
+    ("k3", 0.0), ("top_m_docs", 1), ("asr_min_words", 1), ("order", 1), ("beam_width", 1),
+    ("max_shuffle_attempts", 1), ("smoothing_lambda", 0.0), ("num_negatives", 0), ("alpha", 0.0),
+    ("epoch", 0), ("max_steps", 0), ("max_steps", None), ("temperature", 1e-9),
+    ("embedding_timeout", 1e-9), ("train_fraction", 1e-9), ("train_fraction", 0.999),
+]
+
+
+class TestSettingRanges:
+    def test_cases_cover_every_range_check(self):
+        checked = {name for names, _, _ in PipelineConfig._RANGES for name in names}
+        assert {key for key, _, _ in OUT_OF_RANGE} == checked
+        assert {key for key, _ in IN_RANGE} == checked
+
+    @pytest.mark.parametrize("key, value, message", OUT_OF_RANGE,
+                             ids=[f"{key}={value}" for key, value, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_in_config_file_exits_2(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"seed = 7\n{key} = {value}\n", encoding="utf-8")
+        code = run_command(["stats", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadConfig", "message": f"invalid setting: {message}"}
+
+    @pytest.mark.parametrize("key, value", IN_RANGE)
+    def test_edge_of_range_is_accepted(self, key, value):
+        assert getattr(PipelineConfig(**{key: value}), key) == value
+
+
+def test_every_flag_is_a_setting():
+    parser = _parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for sub in commands.choices.values() for action in sub._actions}
+    assert "train_fraction" in dests
+    assert dests - {"help", "command", "config", "extra_out"} <= SETTINGS.keys()
+
+
 class TestConfigFileParsing:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -481,9 +545,6 @@ class TestErrorReporting:
         "env, config, argv, key",
         [
             ({"SCRIPTWEAVE_K1": "2"}, "", ["ground"], "k1"),
-            ({}, "beam_width = 0\n", ["decode"], "beam_width"),
-            ({}, "order = 0\n", ["train"], "order"),
-            ({}, "temperature = 0\n", ["losses"], "temperature"),
             ({}, "", ["losses", "--epoch", "-1"], "epoch"),
             ({}, "", ["eval", "--split", "1.5"], "train_fraction"),
             ({"SCRIPTWEAVE_EMBEDDING_TIMEOUT": "0"}, "", ["ground"], "embedding_timeout"),
@@ -663,6 +724,10 @@ class TestMalformedArtifacts:
                          id="decode-model-float-order"),
             pytest.param("decode", MODEL_FILE, lambda data: {**data, "lambda": True}, "True",
                          id="decode-model-bool-lambda"),
+            pytest.param("decode", MODEL_FILE, lambda data: {**data, "order": 0},
+                         "order must be at least 1", id="decode-model-order-0"),
+            pytest.param("decode", MODEL_FILE, lambda data: {**data, "lambda": -0.1},
+                         "smoothing_lambda must be non-negative", id="decode-model-negative-lambda"),
             pytest.param("decode", MODEL_FILE,
                          lambda data: {**data, "contexts": [{"ctx": [0.5], "counts": {}}]},
                          "0.5", id="decode-model-fractional-context"),

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.contrastive import (
     ContrastiveBatch,
-    LossConfig,
     MixtureWeights,
-    NegativeGenConfig,
     curriculum_mixture,
     draw_negative_method,
     generate_negative,
@@ -22,6 +21,9 @@ from scriptweave.contrastive import (
     sequence_representation,
 )
 from scriptweave.errors import DegenerateInput, EmptySequence, UnknownStep, ZeroVector
+
+
+ATTEMPTS = PipelineConfig().max_shuffle_attempts
 
 
 def make_library(n):
@@ -47,10 +49,6 @@ class TestCurriculum:
     def test_sums_to_one_exactly(self):
         for epoch in range(0, 101):
             assert sum(curriculum_mixture(epoch)) == 1.0
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            curriculum_mixture(-1)
 
 
 class TestDrawNegativeMethod:
@@ -79,7 +77,7 @@ class TestResample:
         library = make_library(6)
         rng = random.Random(2)
         for _ in range(100):
-            negative = generate_negative([0, 1, 2], "resample", library, {(0, 1, 2)}, rng=rng)
+            negative = generate_negative([0, 1, 2], "resample", library, {(0, 1, 2)}, ATTEMPTS, rng)
             assert len(negative) == 3
             assert len(set(negative)) == 3
             assert set(negative) <= set(range(6))
@@ -90,19 +88,19 @@ class TestResample:
         valid = {(0, 1), (1, 0), (2, 3)}
         rng = random.Random(3)
         for _ in range(200):
-            negative = generate_negative([0, 1], "resample", library, valid, rng=rng)
+            negative = generate_negative([0, 1], "resample", library, valid, ATTEMPTS, rng)
             assert tuple(negative) not in valid
 
     def test_longer_than_library_rejected(self):
         library = make_library(2)
         with pytest.raises(DegenerateInput):
-            generate_negative([0, 1, 0], "resample", library, set())
+            generate_negative([0, 1, 0], "resample", library, set(), ATTEMPTS, random.Random(0))
 
     def test_exhausted_attempts_rejected(self):
         # every 1-step draw from a 1-step library is the positive itself
         library = make_library(1)
         with pytest.raises(DegenerateInput):
-            generate_negative([0], "resample", library, set())
+            generate_negative([0], "resample", library, set(), ATTEMPTS, random.Random(0))
 
 
 class TestShuffle:
@@ -110,7 +108,7 @@ class TestShuffle:
         library = make_library(5)
         rng = random.Random(4)
         for _ in range(100):
-            negative = generate_negative([3, 1, 4], "shuffle", library, {(3, 1, 4)}, rng=rng)
+            negative = generate_negative([3, 1, 4], "shuffle", library, {(3, 1, 4)}, ATTEMPTS, rng)
             assert sorted(negative) == [1, 3, 4]
             assert tuple(negative) != (3, 1, 4)
 
@@ -119,7 +117,7 @@ class TestShuffle:
         valid = {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0)}
         rng = random.Random(5)
         for _ in range(200):
-            negative = generate_negative([0, 1, 2], "shuffle", library, valid, rng=rng)
+            negative = generate_negative([0, 1, 2], "shuffle", library, valid, ATTEMPTS, rng)
             assert tuple(negative) not in valid
 
     def test_reversal_fallback_when_attempts_exhausted(self):
@@ -127,13 +125,13 @@ class TestShuffle:
         # either by shuffling or by the deterministic fallback
         library = make_library(2)
         negative = generate_negative(
-            [0, 1], "shuffle", library, {(0, 1)}, NegativeGenConfig(max_shuffle_attempts=1)
+            [0, 1], "shuffle", library, {(0, 1)}, 1, random.Random(0)
         )
         assert negative == [1, 0]
 
     def test_single_step_rejected(self):
         with pytest.raises(DegenerateInput):
-            generate_negative([0], "shuffle", make_library(2), set())
+            generate_negative([0], "shuffle", make_library(2), set(), ATTEMPTS, random.Random(0))
 
     def test_every_permutation_valid_rejected(self):
         import itertools
@@ -141,7 +139,7 @@ class TestShuffle:
         library = make_library(2)
         valid = {p for p in itertools.permutations([0, 1])}
         with pytest.raises(DegenerateInput):
-            generate_negative([0, 1], "shuffle", library, valid)
+            generate_negative([0, 1], "shuffle", library, valid, ATTEMPTS, random.Random(0))
 
 
 class TestCutswap:
@@ -151,7 +149,7 @@ class TestCutswap:
         rotations = set()
         for seed in range(30):
             negative = generate_negative(
-                [0, 1, 2, 3], "cutswap", library, {(0, 1, 2, 3)}, rng=random.Random(seed)
+                [0, 1, 2, 3], "cutswap", library, {(0, 1, 2, 3)}, ATTEMPTS, random.Random(seed)
             )
             rotations.add(tuple(negative))
         assert (2, 3, 0, 1) in rotations
@@ -161,7 +159,7 @@ class TestCutswap:
         library = make_library(5)
         rng = random.Random(6)
         for _ in range(50):
-            negative = generate_negative([2, 0, 4], "cutswap", library, {(2, 0, 4)}, rng=rng)
+            negative = generate_negative([2, 0, 4], "cutswap", library, {(2, 0, 4)}, ATTEMPTS, rng)
             assert sorted(negative) == [0, 2, 4]
 
     def test_falls_through_valid_rotations(self):
@@ -170,7 +168,7 @@ class TestCutswap:
         valid = {(0, 1, 2), (1, 2, 0)}
         for seed in range(20):
             negative = generate_negative(
-                [0, 1, 2], "cutswap", library, valid, rng=random.Random(seed)
+                [0, 1, 2], "cutswap", library, valid, ATTEMPTS, random.Random(seed)
             )
             assert negative == [2, 0, 1]
 
@@ -178,27 +176,21 @@ class TestCutswap:
         library = make_library(2)
         valid = {(0, 1), (1, 0)}
         with pytest.raises(DegenerateInput):
-            generate_negative([0, 1], "cutswap", library, valid)
+            generate_negative([0, 1], "cutswap", library, valid, ATTEMPTS, random.Random(0))
 
     def test_single_step_rejected(self):
         with pytest.raises(DegenerateInput):
-            generate_negative([0], "cutswap", make_library(2), set())
+            generate_negative([0], "cutswap", make_library(2), set(), ATTEMPTS, random.Random(0))
 
 
 class TestGenerateNegativeCommon:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            generate_negative([0, 1], "mutate", make_library(3), set())
+            generate_negative([0, 1], "mutate", make_library(3), set(), ATTEMPTS, random.Random(0))
 
     def test_empty_positive_rejected(self):
         with pytest.raises(DegenerateInput):
-            generate_negative([], "shuffle", make_library(3), set())
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NegativeGenConfig(num_negatives=-1)
-        with pytest.raises(ValueError):
-            NegativeGenConfig(max_shuffle_attempts=0)
+            generate_negative([], "shuffle", make_library(3), set(), ATTEMPTS, random.Random(0))
 
 
 class FixedEmbedProvider:
@@ -265,7 +257,7 @@ def naive_contrastive(z_g, z_p, z_negs, temperature):
 class TestPathLevelLosses:
     def test_no_negatives_is_exactly_zero(self):
         batch = ContrastiveBatch(np.array([1.0, 2.0]), np.array([2.0, 1.0]), [])
-        contrastive, ce, total = path_level_losses(batch, nll=3.5)
+        contrastive, ce, total = path_level_losses(batch, nll=3.5, cfg=PipelineConfig())
         assert contrastive == 0.0
         assert ce == 3.5
         assert total == 3.5
@@ -276,7 +268,8 @@ class TestPathLevelLosses:
         batch = ContrastiveBatch(
             np.array([1.0, 0.0]), np.array([1.0, 0.0]), [np.array([0.0, 1.0])]
         )
-        contrastive, _, total = path_level_losses(batch, nll=0.0, cfg=LossConfig(0.1, 1.0))
+        cfg = PipelineConfig(temperature=0.1, alpha=1.0)
+        contrastive, _, total = path_level_losses(batch, nll=0.0, cfg=cfg)
         assert contrastive == pytest.approx(math.log(1 + math.exp(-10)), abs=1e-15)
         assert contrastive == pytest.approx(4.54e-5, rel=1e-2)
         assert total == contrastive
@@ -289,7 +282,7 @@ class TestPathLevelLosses:
             z_g = rng.normal(size=dim)
             z_p = rng.normal(size=dim)
             z_negs = [rng.normal(size=dim) for _ in range(m)]
-            cfg = LossConfig(temperature=0.1, alpha=0.7)
+            cfg = PipelineConfig(temperature=0.1, alpha=0.7)
             nll = float(rng.uniform(0, 5))
             contrastive, ce, total = path_level_losses(
                 ContrastiveBatch(z_g, z_p, z_negs), nll, cfg
@@ -304,23 +297,17 @@ class TestPathLevelLosses:
         batch = ContrastiveBatch(
             np.array([1.0, 0.0]), np.array([0.5, 0.5]), [np.array([0.0, 1.0])]
         )
-        c1, _, t1 = path_level_losses(batch, 2.0, LossConfig(0.1, 1.0))
-        c2, _, t2 = path_level_losses(batch, 2.0, LossConfig(0.1, 3.0))
+        c1, _, t1 = path_level_losses(batch, 2.0, PipelineConfig(temperature=0.1, alpha=1.0))
+        c2, _, t2 = path_level_losses(batch, 2.0, PipelineConfig(temperature=0.1, alpha=3.0))
         assert c1 == c2
         assert t2 - 2.0 == pytest.approx(3 * (t1 - 2.0), abs=1e-12)
 
     def test_zero_vector_rejected(self):
         batch = ContrastiveBatch(np.zeros(2), np.array([1.0, 0.0]), [])
         with pytest.raises(ZeroVector):
-            path_level_losses(batch, 0.0)
+            path_level_losses(batch, 0.0, PipelineConfig())
 
     def test_shape_mismatch_rejected(self):
         batch = ContrastiveBatch(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]), [])
         with pytest.raises(ValueError):
-            path_level_losses(batch, 0.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LossConfig(temperature=0.0)
-        with pytest.raises(ValueError):
-            LossConfig(alpha=-1.0)
+            path_level_losses(batch, 0.0, PipelineConfig())

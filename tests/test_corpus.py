@@ -369,12 +369,13 @@ class TestFileFormats:
         records = tmp_path / "records.jsonl"
         records.write_text(
             '{"video_id": "v1", "task_id": "t1", "kind": "labelled",'
-            ' "items": [{"text": "mix", "start": 1.0, "end": 2.0}]}\n'
+            ' "items": [{"text": "mix", "start": 1.0, "end": 2.0}, {"text": "bake", "end": null}]}\n'
         )
         assert load_tasks(tasks)[0].task_name == "bake bread"
         assert load_candidate_docs(docs)[0][0] == "Bread A"
         loaded = load_raw_records(records)
         assert loaded[0].items[0].start == 1.0
+        assert loaded[0].items[1][1:] == (None, None)
 
     @pytest.mark.parametrize(
         "loader, text, where, fragment",
@@ -412,6 +413,12 @@ class TestFileFormats:
             (load_raw_records,
              '{"video_id": "v", "task_id": 1, "kind": "asr", "items": [{"text": "x"}]}\n',
              ":1:", "task_id"),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": "t", "kind": "labelled",'
+             ' "items": [{"text": "mix", "start": "soon"}]}\n', ":1:", "'soon'"),
+            (load_raw_records,
+             '{"video_id": "v", "task_id": "t", "kind": "labelled",'
+             ' "items": [{"text": "mix", "start": 1, "end": true}]}\n', ":1:", "True"),
         ],
     )
     def test_malformed_rows_raise_bad_input_with_line(self, tmp_path, loader, text, where,

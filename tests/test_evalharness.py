@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.errors import LengthMismatch, MissingLinearData, TooFewSequences
 from scriptweave.evalharness import (
@@ -20,7 +21,7 @@ from scriptweave.evalharness import (
     next_step_metrics,
 )
 from scriptweave.grounding import GroundedSequence
-from scriptweave.pathmodel import PathModelConfig, train_path_model
+from scriptweave.pathmodel import train_path_model
 
 
 def make_library(n):
@@ -266,7 +267,7 @@ class TestModelSystems:
     def make_model(self):
         library = make_library(3)
         return train_path_model(
-            [Seq([0, 1, 2])], library, PathModelConfig(order=2, smoothing_lambda=0.1)
+            [Seq([0, 1, 2])], library, PipelineConfig(order=2, smoothing_lambda=0.1)
         )
 
     def test_predictions_ranked_by_probability(self):

@@ -2,11 +2,11 @@
 
 import pytest
 
+from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import RawSequenceRecord, SequenceItem, Step, StepLibrary, TaskSpec
 from scriptweave.errors import EmptySequence, NoDocuments
 from scriptweave.grounding import (
     GroundedSequence,
-    GroundingConfig,
     ground_asr_sequence,
     ground_labelled_sequence,
     grounded_from_json,
@@ -19,6 +19,9 @@ from scriptweave.grounding import (
     task_keywords,
     video_passes_task_filter,
 )
+
+
+DEFAULTS = PipelineConfig()
 
 
 class StubProvider:
@@ -63,20 +66,6 @@ class TestTaskKeywords:
         assert task_keywords("how to") == set()
 
 
-class TestGroundingConfig:
-    def test_threshold_range_is_validated(self):
-        with pytest.raises(ValueError):
-            GroundingConfig(k1=1.5)
-        with pytest.raises(ValueError):
-            GroundingConfig(keyword_threshold=-0.1)
-
-    def test_count_fields_are_validated(self):
-        with pytest.raises(ValueError):
-            GroundingConfig(top_m_docs=0)
-        with pytest.raises(ValueError):
-            GroundingConfig(asr_min_words=0)
-
-
 class TestMatchTaskDocuments:
     TASK = TaskSpec("t1", "replace bicycle inner tube")
 
@@ -86,7 +75,7 @@ class TestMatchTaskDocuments:
             ("cook pasta", ["b"]),
         ]
         provider = StubProvider()
-        out = match_task_documents(self.TASK, docs, provider, GroundingConfig(top_m_docs=1))
+        out = match_task_documents(self.TASK, docs, provider, PipelineConfig(top_m_docs=1))
         assert out == [docs[0]]
 
     def test_relaxes_once_when_too_few_titles_pass(self):
@@ -101,7 +90,7 @@ class TestMatchTaskDocuments:
                 ("replace your bicycle inner wheel", self.TASK.task_name): 0.8,
             }
         )
-        out = match_task_documents(self.TASK, docs, provider, GroundingConfig(top_m_docs=2))
+        out = match_task_documents(self.TASK, docs, provider, PipelineConfig(top_m_docs=2))
         assert [title for title, _ in out] == [
             "replace bicycle inner tube easily",
             "replace your bicycle inner wheel",
@@ -112,7 +101,7 @@ class TestMatchTaskDocuments:
             ("replace bicycle inner tube easily", ["a"]),
             ("replace your bicycle inner wheel", ["b"]),
         ]
-        out = match_task_documents(self.TASK, docs, StubProvider(), GroundingConfig(top_m_docs=1))
+        out = match_task_documents(self.TASK, docs, StubProvider(), PipelineConfig(top_m_docs=1))
         assert [title for title, _ in out] == ["replace bicycle inner tube easily"]
 
     def test_ranked_by_title_similarity(self):
@@ -126,7 +115,7 @@ class TestMatchTaskDocuments:
                 ("replace bicycle inner tube fast", self.TASK.task_name): 0.7,
             }
         )
-        out = match_task_documents(self.TASK, docs, provider, GroundingConfig(top_m_docs=5))
+        out = match_task_documents(self.TASK, docs, provider, PipelineConfig(top_m_docs=5))
         assert [title for title, _ in out] == [
             "replace bicycle inner tube fast",
             "replace bicycle inner tube slowly",
@@ -137,22 +126,22 @@ class TestMatchTaskDocuments:
             ("replace bicycle inner tube a", ["a"]),
             ("replace bicycle inner tube b", ["b"]),
         ]
-        out = match_task_documents(self.TASK, docs, StubProvider(), GroundingConfig(top_m_docs=5))
+        out = match_task_documents(self.TASK, docs, StubProvider(), PipelineConfig(top_m_docs=5))
         assert [title for title, _ in out] == [title for title, _ in docs]
 
     def test_top_m_docs_caps_results(self):
         docs = [(f"replace bicycle inner tube {i}", [str(i)]) for i in range(6)]
-        out = match_task_documents(self.TASK, docs, StubProvider(), GroundingConfig(top_m_docs=4))
+        out = match_task_documents(self.TASK, docs, StubProvider(), PipelineConfig(top_m_docs=4))
         assert len(out) == 4
 
     def test_empty_doc_list_raises(self):
         with pytest.raises(NoDocuments):
-            match_task_documents(self.TASK, [], StubProvider())
+            match_task_documents(self.TASK, [], StubProvider(), DEFAULTS)
 
     def test_nothing_matching_even_relaxed_raises(self):
         docs = [("cook pasta", ["a"]), ("fold laundry", ["b"])]
         with pytest.raises(NoDocuments):
-            match_task_documents(self.TASK, docs, StubProvider())
+            match_task_documents(self.TASK, docs, StubProvider(), DEFAULTS)
 
 
 class TestGroundLabelled:
@@ -164,7 +153,7 @@ class TestGroundLabelled:
         provider = StubProvider(
             {("v1", "w1"): 0.9, ("v1", "w2"): 0.5, ("v2", "w1"): 0.8, ("v2", "w2"): 0.2}
         )
-        out = ground_labelled_sequence(record, library, provider)
+        out = ground_labelled_sequence(record, library, provider, DEFAULTS.k1)
         assert out.step_ids == [0]
         assert out.scores == [0.9]
         assert out.dropped == 1
@@ -175,7 +164,7 @@ class TestGroundLabelled:
         provider = StubProvider(
             {("v1", "w1"): 0.9, ("v1", "w2"): 0.5, ("v2", "w1"): 0.8, ("v2", "w2"): 0.6}
         )
-        out = ground_labelled_sequence(record, library, provider)
+        out = ground_labelled_sequence(record, library, provider, DEFAULTS.k1)
         assert out.step_ids == [0, 1]
         assert out.scores == [0.9, 0.6]
         assert out.dropped == 0
@@ -186,7 +175,7 @@ class TestGroundLabelled:
         provider = StubProvider(
             {("v1", "w2"): 0.6, ("v2", "w1"): 0.9}
         )
-        out = ground_labelled_sequence(record, library, provider)
+        out = ground_labelled_sequence(record, library, provider, DEFAULTS.k1)
         assert out.step_ids == [1, 0]
         assert out.scores == [0.6, 0.9]
 
@@ -196,7 +185,7 @@ class TestGroundLabelled:
         provider = StubProvider(
             {("v1", "w1"): 0.7, ("v1", "w2"): 0.7, ("v2", "w1"): 0.7, ("v2", "w2"): 0.7}
         )
-        out = ground_labelled_sequence(record, library, provider)
+        out = ground_labelled_sequence(record, library, provider, DEFAULTS.k1)
         # v1 takes w1 first, leaving v2 with w2
         assert out.step_ids == [0, 1]
 
@@ -214,9 +203,7 @@ class TestGroundLabelled:
         matched = {}
         for k1 in (0.2, 0.35, 0.45, 0.6, 0.95):
             try:
-                out = ground_labelled_sequence(
-                    record, library, provider, GroundingConfig(k1=k1)
-                )
+                out = ground_labelled_sequence(record, library, provider, k1)
                 matched[k1] = set(out.step_ids)
             except EmptySequence:
                 matched[k1] = set()
@@ -230,34 +217,37 @@ class TestGroundLabelled:
         library = make_library(["w1"])
         record = labelled_record(["v1"])
         with pytest.raises(EmptySequence):
-            ground_labelled_sequence(record, library, StubProvider({("v1", "w1"): 0.1}))
+            ground_labelled_sequence(
+                record, library, StubProvider({("v1", "w1"): 0.1}), DEFAULTS.k1
+            )
 
     def test_rejects_asr_record(self):
         library = make_library(["w1"])
         record = asr_record(["v1"])
         with pytest.raises(ValueError):
-            ground_labelled_sequence(record, library, StubProvider())
+            ground_labelled_sequence(record, library, StubProvider(), DEFAULTS.k1)
 
 
 class TestPreprocessAsr:
     def test_removes_items_containing_stop_words(self):
         items = ["please subscribe to us", "crack the eggs into a bowl now ok friends"]
-        assert preprocess_asr(items) == ["crack the eggs into a bowl now ok friends"]
+        assert preprocess_asr(items, DEFAULTS) == ["crack the eggs into a bowl now ok friends"]
 
     def test_stop_words_match_whole_words_only(self):
-        cfg = GroundingConfig(asr_min_words=1)
+        cfg = PipelineConfig(asr_min_words=1)
         # "subscriber" must not be caught by the stop word "subscribe"
         assert preprocess_asr(["a subscriber arrived today"], cfg) == [
             "a subscriber arrived today"
         ]
 
     def test_stop_words_are_case_insensitive(self):
-        assert preprocess_asr(["SUBSCRIBE now", "mix the dough well ok then rest it overnight"]) == [
+        items = ["SUBSCRIBE now", "mix the dough well ok then rest it overnight"]
+        assert preprocess_asr(items, DEFAULTS) == [
             "mix the dough well ok then rest it overnight"
         ]
 
     def test_multi_word_stop_phrase(self):
-        cfg = GroundingConfig(asr_min_words=1, stop_words=("like and subscribe",))
+        cfg = PipelineConfig(asr_min_words=1, stop_words=("like and subscribe",))
         assert preprocess_asr(["like and subscribe folks", "chop onions"], cfg) == [
             "chop onions"
         ]
@@ -272,13 +262,13 @@ class TestPreprocessAsr:
             "alpha beta gamma delta epsilon zeta",  # 6 words
             "red green blue cyan yellow",  # 5 words
         ]
-        assert preprocess_asr(items) == [
+        assert preprocess_asr(items, DEFAULTS) == [
             items[0],
             items[1] + " " + items[2],
         ]
 
     def test_exactly_minimum_words_keeps_accumulating(self):
-        cfg = GroundingConfig(asr_min_words=4)
+        cfg = PipelineConfig(asr_min_words=4)
         items = ["one two three four", "five"]
         # 4 words is not > 4, the chunk closes only after "five"
         assert preprocess_asr(items, cfg) == ["one two three four five"]
@@ -288,17 +278,17 @@ class TestPreprocessAsr:
             "one two three four five six seven eight nine ten eleven",
             "tiny tail",
         ]
-        assert preprocess_asr(items) == [items[0] + " tiny tail"]
+        assert preprocess_asr(items, DEFAULTS) == [items[0] + " tiny tail"]
 
     def test_everything_short_becomes_single_piece(self):
-        assert preprocess_asr(["chop", "the onions"]) == ["chop the onions"]
+        assert preprocess_asr(["chop", "the onions"], DEFAULTS) == ["chop the onions"]
 
     def test_all_items_removed_yields_no_pieces(self):
-        assert preprocess_asr(["subscribe", "our channel"]) == []
+        assert preprocess_asr(["subscribe", "our channel"], DEFAULTS) == []
 
 
 class TestGroundAsr:
-    CFG = GroundingConfig(asr_min_words=1)
+    CFG = PipelineConfig(asr_min_words=1)
 
     def test_each_piece_keeps_its_best_step(self):
         library = make_library(["w1", "w2"])
@@ -371,11 +361,11 @@ class TestVideoTaskFilter:
 
     def test_threshold_is_inclusive(self):
         provider = StubProvider({("lemonade at home", self.TASK.task_name): 0.75})
-        assert video_passes_task_filter("lemonade at home", self.TASK, provider)
+        assert video_passes_task_filter("lemonade at home", self.TASK, provider, DEFAULTS.k2)
 
     def test_below_threshold_fails(self):
         provider = StubProvider({("unboxing video", self.TASK.task_name): 0.7499})
-        assert not video_passes_task_filter("unboxing video", self.TASK, provider)
+        assert not video_passes_task_filter("unboxing video", self.TASK, provider, DEFAULTS.k2)
 
 
 class TestPruneUnusedSteps:
@@ -448,14 +438,14 @@ class TestOneCallPerPair:
         # Repeated annotations are scored again: a provider may memoise, grounding does not.
         record = labelled_record(["alpha", "beta", "alpha", "gamma"])
         provider = StubProvider({("alpha", "w1"): 0.9, ("beta", "w2"): 0.8})
-        ground_labelled_sequence(record, library, provider)
+        ground_labelled_sequence(record, library, provider, DEFAULTS.k1)
         assert provider.calls == [
             (text, step) for text in ["alpha", "beta", "alpha", "gamma"]
             for step in ["w1", "w2", "w3"]
         ]
 
     def test_asr_scores_pieces_times_steps(self):
-        cfg = GroundingConfig(asr_min_words=1)
+        cfg = PipelineConfig(asr_min_words=1)
         library = make_library(["w1", "w2"])
         record = asr_record(["alpha one", "please subscribe now", "beta two", "alpha one"])
         pieces = preprocess_asr([item.text for item in record.items], cfg)

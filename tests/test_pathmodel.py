@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.errors import EmptyCorpus, UnknownStep
 from scriptweave.pathmodel import (
     END,
     START,
-    PathModelConfig,
     load_model,
     model_from_json,
     model_to_json,
@@ -31,25 +31,14 @@ def make_library(n, task_id="t1"):
 
 
 def train(paths, n_steps, order=2, lam=0.1):
-    return train_path_model(
-        [Seq(p) for p in paths], make_library(n_steps), PathModelConfig(order, lam)
-    )
-
-
-class TestConfig:
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            PathModelConfig(order=0)
-
-    def test_rejects_negative_smoothing(self):
-        with pytest.raises(ValueError):
-            PathModelConfig(smoothing_lambda=-0.1)
+    cfg = PipelineConfig(order=order, smoothing_lambda=lam)
+    return train_path_model([Seq(p) for p in paths], make_library(n_steps), cfg)
 
 
 class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            train_path_model([], make_library(2))
+            train_path_model([], make_library(2), PipelineConfig())
 
     def test_unknown_step_rejected(self):
         with pytest.raises(UnknownStep):
@@ -187,11 +176,10 @@ class TestJsonRoundtrip:
 
     def test_roundtrip_preserves_distributions(self):
         library = make_library(3)
-        model = train_path_model(
-            [Seq([0, 1]), Seq([0, 2]), Seq([1, 2, 0])], library, PathModelConfig(2, 0.1)
-        )
+        cfg = PipelineConfig(order=2, smoothing_lambda=0.1)
+        model = train_path_model([Seq([0, 1]), Seq([0, 2]), Seq([1, 2, 0])], library, cfg)
         clone = model_from_json(model_to_json(model), library)
-        assert clone.config == model.config
+        assert (clone.order, clone.smoothing_lambda) == (2, 0.1)
         for prefix in ([], [0], [1], [2], [0, 1], [1, 2]):
             assert next_step_distribution(clone, prefix) == next_step_distribution(
                 model, prefix
@@ -216,7 +204,8 @@ class TestJsonRoundtrip:
 
     def test_save_and_load(self, tmp_path):
         library = make_library(2)
-        model = train_path_model([Seq([0, 1])], library, PathModelConfig(2, 0.5))
+        cfg = PipelineConfig(order=2, smoothing_lambda=0.5)
+        model = train_path_model([Seq([0, 1])], library, cfg)
         path = tmp_path / "model.json"
         save_model(model, path)
         clone = load_model(path, library)

@@ -13,15 +13,15 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
-from scriptweave.decoder import DecodeConfig, build_prefix_trie, constrained_beam_search
+from scriptweave.decoder import build_prefix_trie, constrained_beam_search
 from scriptweave.errors import NoCompletion
 from scriptweave.evalharness import EvalExample, EvalSplit, greedy_completion, model_predict_next
 from scriptweave.pathmodel import (
     END,
     START,
     PathModel,
-    PathModelConfig,
     next_step_distribution,
     sequence_nll,
     train_path_model,
@@ -41,8 +41,8 @@ def make_library(n_steps):
 
 
 def ref_effective_context(model, prefix):
-    tokens = [START] * model.config.order + list(prefix)
-    for k in range(model.config.order, 1, -1):
+    tokens = [START] * model.order + list(prefix)
+    for k in range(model.order, 1, -1):
         ctx = tuple(tokens[len(tokens) - k :])
         if model.totals.get(ctx, 0) > 0:
             return ctx
@@ -50,7 +50,7 @@ def ref_effective_context(model, prefix):
 
 
 def ref_transition_prob(model, ctx, nxt):
-    lam = model.config.smoothing_lambda
+    lam = model.smoothing_lambda
     total = model.totals.get(ctx, 0)
     counter = model.counts.get(ctx)
     count = counter[nxt] if counter is not None else 0
@@ -143,7 +143,7 @@ def models(draw):
     paths = draw(st.lists(st.lists(step, max_size=8), min_size=1, max_size=6))
     # Repeating a path makes equal counts, and so tied scores, more likely.
     paths += paths[: draw(st.integers(0, len(paths)))]
-    config = PathModelConfig(
+    config = PipelineConfig(
         order=draw(st.integers(1, 3)),
         smoothing_lambda=draw(st.sampled_from([0.0, 0.01, 0.1, 1.0])),
     )
@@ -184,7 +184,7 @@ def test_greedy_completion_and_ranking_match_reference(case, max_steps):
 @given(models(), st.integers(1, 64), max_steps_values)
 def test_beam_search_matches_reference(case, beam_width, max_steps):
     model, _ = case
-    cfg = DecodeConfig(beam_width=beam_width, max_steps=max_steps)
+    cfg = PipelineConfig(beam_width=beam_width, max_steps=max_steps)
     try:
         expected = ref_beam_search(model, cfg)
     except NoCompletion:
@@ -202,8 +202,9 @@ def test_beam_keeps_items_tied_with_the_worst_finished_path():
     # a beam of two, [0, 1] is still open at exactly that score, and
     # [0, 1, 4] must still displace [2] on the sequence tie-break.
     paths = [[0], [0, 1, 4], [2], [2, 3]]
-    model = train_path_model([Seq(p) for p in paths], make_library(5), PathModelConfig(1, 0.0))
-    cfg = DecodeConfig(beam_width=2)
+    unsmoothed = PipelineConfig(order=1, smoothing_lambda=0.0)
+    model = train_path_model([Seq(p) for p in paths], make_library(5), unsmoothed)
+    cfg = PipelineConfig(beam_width=2)
     got = constrained_beam_search(model, build_prefix_trie(model.library), cfg)
     score = math.log(0.5) + math.log(0.5)
     assert got == ref_beam_search(model, cfg) == [([0], score), ([0, 1, 4], score)]
@@ -221,7 +222,7 @@ def test_log_rows_are_math_log_over_a_sweep_of_counts():
         }
         totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
         for lam in (0.0, 0.01, 0.1, 1.0):
-            model = PathModel(library, PathModelConfig(1, lam), counts, totals)
+            model = PathModel(library, 1, lam, counts, totals)
             for prefix in [[], *([s] for s in range(n_steps))]:
                 expected = ref_next_step_distribution(model, prefix).values()
                 prob, logprob = model.rows(prefix)

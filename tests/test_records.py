@@ -7,8 +7,8 @@ errors, and no mutable default shared between instances.
 
 import pytest
 
-from scriptweave.cli import SETTING_DEFAULTS, SETTING_TYPES, PipelineConfig
-from scriptweave.contrastive import ContrastiveBatch, LossConfig, NegativeGenConfig
+from scriptweave.cli import SETTINGS, PipelineConfig
+from scriptweave.contrastive import ContrastiveBatch
 from scriptweave.corpus import (
     CorpusStats,
     RawSequenceRecord,
@@ -19,17 +19,11 @@ from scriptweave.corpus import (
     library_from_json,
     library_to_json,
 )
-from scriptweave.decoder import DecodeConfig
 from scriptweave.errors import BadConfig, EmptySequence
 from scriptweave.evalharness import EvalExample, EvalSplit
 from scriptweave.graphgen import GraphEdge, GraphScript, Relation
-from scriptweave.grounding import (
-    GroundedSequence,
-    GroundingConfig,
-    grounded_from_json,
-    grounded_to_json,
-)
-from scriptweave.pathmodel import PathModel, PathModelConfig, model_from_json, model_to_json
+from scriptweave.grounding import GroundedSequence, grounded_from_json, grounded_to_json
+from scriptweave.pathmodel import PathModel, model_from_json, model_to_json
 from scriptweave.pathmodel import train_path_model
 
 
@@ -51,13 +45,8 @@ def make_sequences():
 DEFAULT_BUILT = [
     lambda: StepLibrary("t", []),
     lambda: RawSequenceRecord("v", "t", "labelled", []),
-    lambda: GroundingConfig(),
     lambda: GroundedSequence("v", "t", [0], [1.0]),
-    lambda: PathModelConfig(),
-    lambda: PathModel(make_library(), PathModelConfig(), {}, {}),
-    lambda: DecodeConfig(),
-    lambda: NegativeGenConfig(),
-    lambda: LossConfig(),
+    lambda: PathModel(make_library(), 2, 0.1, {}, {}),
     lambda: ContrastiveBatch((1.0,), (1.0,)),
     lambda: EvalExample((0,)),
     lambda: EvalSplit([], []),
@@ -122,9 +111,9 @@ class TestMutableRecords:
     def test_equality_is_by_class_and_fields(self):
         assert make_library() == make_library()
         assert make_library() != StepLibrary("demo", make_library().steps)
-        assert DecodeConfig(7) == DecodeConfig(beam_width=7)
-        assert DecodeConfig(7) != DecodeConfig(8)
-        assert PathModelConfig() != DecodeConfig()
+        assert EvalSplit([], []) == EvalSplit(train=[], test_examples=[])
+        assert EvalSplit([], []) != EvalSplit([], [EvalExample((0,))])
+        assert EvalSplit([], []) != GraphScript("t", [], [], 0)
         assert EvalExample((0,)) != (0,)
 
     @pytest.mark.parametrize("build", DEFAULT_BUILT, ids=lambda b: type(b()).__name__)
@@ -133,8 +122,10 @@ class TestMutableRecords:
             hash(build())
 
     def test_repr_names_the_fields(self):
-        assert repr(DecodeConfig()) == "DecodeConfig(beam_width=40, max_steps=None)"
-        assert repr(LossConfig(0.5)) == "LossConfig(temperature=0.5, alpha=1.0)"
+        assert repr(EvalSplit([], [])) == "EvalSplit(train=[], test_examples=[])"
+        assert repr(EvalExample((0,))) == (
+            "EvalExample(prefix=(0,), gold_next=set(), gold_completions=set())"
+        )
 
     def test_library_round_trip(self):
         library = make_library()
@@ -146,7 +137,8 @@ class TestMutableRecords:
 
     def test_model_round_trip_ignores_the_row_cache(self):
         library = make_library()
-        model = train_path_model(make_sequences(), library, PathModelConfig(2, 0.1))
+        cfg = PipelineConfig(order=2, smoothing_lambda=0.1)
+        model = train_path_model(make_sequences(), library, cfg)
         clone = model_from_json(model_to_json(model), library)
         model.rows([0])
         assert clone == model
@@ -175,20 +167,9 @@ class TestConstructorErrors:
     @pytest.mark.parametrize(
         "build, error",
         [
-            (lambda: GroundingConfig(k1=1.5), ValueError),
-            (lambda: GroundingConfig(top_m_docs=0), ValueError),
-            (lambda: GroundingConfig(asr_min_words=0), ValueError),
             (lambda: GroundedSequence("v", "t", [], []), EmptySequence),
             (lambda: GroundedSequence("v", "t", [0, 0], [1.0, 1.0]), ValueError),
             (lambda: GroundedSequence("v", "t", [0], [1.0, 1.0]), ValueError),
-            (lambda: PathModelConfig(order=0), ValueError),
-            (lambda: PathModelConfig(smoothing_lambda=-0.1), ValueError),
-            (lambda: DecodeConfig(beam_width=0), ValueError),
-            (lambda: DecodeConfig(max_steps=-1), ValueError),
-            (lambda: NegativeGenConfig(num_negatives=-1), ValueError),
-            (lambda: NegativeGenConfig(max_shuffle_attempts=0), ValueError),
-            (lambda: LossConfig(temperature=0.0), ValueError),
-            (lambda: LossConfig(alpha=-1.0), ValueError),
             (lambda: PipelineConfig(k1=2.0), BadConfig),
             (lambda: PipelineConfig(train_fraction=1.0), BadConfig),
             (lambda: PipelineConfig(bogus=1), TypeError),
@@ -202,33 +183,18 @@ class TestConstructorErrors:
         with pytest.raises(error):
             build()
 
-    def test_grounding_config_keeps_stop_words_as_a_tuple(self):
-        assert GroundingConfig(stop_words=["outro"]).stop_words == ("outro",)
-
 
 class TestPipelineConfig:
-    def test_sub_config_defaults_are_read_from_the_sub_configs(self):
-        cfg = PipelineConfig()
-        for sub in (GroundingConfig(), PathModelConfig(), DecodeConfig(), NegativeGenConfig(),
-                    LossConfig()):
-            for name in sub._fields:
-                if name in SETTING_TYPES:
-                    assert getattr(cfg, name) == getattr(sub, name), name
-        assert cfg.grounding == GroundingConfig()
-        assert cfg.negatives == NegativeGenConfig()
+    def test_every_setting_has_a_default_of_its_type(self):
+        assert len(SETTINGS) == 28
+        for name, (kind, default) in SETTINGS.items():
+            assert default is None or isinstance(default, kind), name
 
-    def test_every_setting_has_a_default_and_a_type(self):
-        assert list(SETTING_DEFAULTS) == list(SETTING_TYPES)
-        for name, default in SETTING_DEFAULTS.items():
-            assert default is None or isinstance(default, SETTING_TYPES[name]), name
-
-    def test_sub_configs_follow_the_settings(self):
-        cfg = PipelineConfig(seed=5, k1=0.5, order=3, beam_width=9, num_negatives=1, alpha=0.5)
-        assert cfg.grounding.k1 == 0.5
-        assert cfg.pathmodel == PathModelConfig(order=3)
-        assert cfg.decode == DecodeConfig(beam_width=9)
-        assert cfg.negatives == NegativeGenConfig(num_negatives=1)
-        assert cfg.loss == LossConfig(alpha=0.5)
+    def test_settings_are_attributes_with_their_defaults(self):
+        cfg = PipelineConfig(seed=5, k1=0.5, order=3, beam_width=9)
+        assert (cfg.seed, cfg.k1, cfg.order, cfg.beam_width) == (5, 0.5, 3, 9)
+        assert cfg.stop_words == SETTINGS["stop_words"][1]
+        assert PipelineConfig()._values() == tuple(default for _, default in SETTINGS.values())
 
     def test_equality_compares_the_settings(self):
         assert PipelineConfig() == PipelineConfig()

@@ -336,6 +336,10 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+# Generous for a server on this host; the timeout tests set their own.
+TIMEOUT = 10.0
+
+
 @pytest.fixture()
 def embed_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
@@ -350,14 +354,14 @@ def embed_server():
 
 class TestHttpEmbeddingProvider:
     def test_embed_roundtrip(self, embed_server):
-        provider = HttpEmbeddingProvider(embed_server)
+        provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         vectors = provider.embed(["add sugar", "stir"])
         assert len(vectors) == 2
         assert list(vectors[0]) == [2.0, 8.0]
         assert list(vectors[1]) == [1.0, 4.0]
 
     def test_similarity_is_cosine_of_served_vectors(self, embed_server):
-        provider = HttpEmbeddingProvider(embed_server)
+        provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         a, b = provider.embed(["add sugar", "mix it well"])
         expected = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert provider.similarity("add sugar", "mix it well") == pytest.approx(expected)
@@ -376,22 +380,22 @@ class TestHttpEmbeddingProvider:
     def test_malformed_body_is_a_hard_error(self, embed_server):
         _Handler.mode = "garbage"
         with pytest.raises(EmbeddingServiceError):
-            HttpEmbeddingProvider(embed_server).embed(["x"])
+            HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x"])
 
     def test_missing_key_is_a_hard_error(self, embed_server):
         _Handler.mode = "missing_key"
         with pytest.raises(EmbeddingServiceError):
-            HttpEmbeddingProvider(embed_server).embed(["x"])
+            HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x"])
 
     def test_wrong_vector_count_is_a_hard_error(self, embed_server):
         _Handler.mode = "wrong_count"
         with pytest.raises(EmbeddingServiceError):
-            HttpEmbeddingProvider(embed_server).embed(["x", "y"])
+            HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x", "y"])
 
     def test_ragged_vectors_are_a_hard_error(self, embed_server):
         _Handler.mode = "ragged"
         with pytest.raises(EmbeddingServiceError):
-            HttpEmbeddingProvider(embed_server).embed(["x", "y"])
+            HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x", "y"])
 
     @pytest.mark.parametrize(
         "vector",
@@ -409,7 +413,7 @@ class TestHttpEmbeddingProvider:
         ],
     )
     def test_malformed_vector_is_a_hard_error(self, embed_server, vector):
-        provider = HttpEmbeddingProvider(embed_server)
+        provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         _Handler.mode = "payload"
         _Handler.payload = vector
         with pytest.raises(EmbeddingServiceError):
@@ -420,40 +424,40 @@ class TestHttpEmbeddingProvider:
     def test_integer_components_are_floats(self, embed_server):
         _Handler.mode = "payload"
         _Handler.payload = [3, -1]
-        (vec,) = HttpEmbeddingProvider(embed_server).embed(["add sugar"])
+        (vec,) = HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["add sugar"])
         assert [x.hex() for x in vec] == [(3.0).hex(), (-1.0).hex()]
 
     def test_each_distinct_text_is_sent_once(self, embed_server):
-        provider = HttpEmbeddingProvider(embed_server)
+        provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         queries = ["add sugar", "stir it", "add sugar"]
         keys = ["add sugar", "mix it well", "serve", "stir"]
         scores = [[provider.similarity(q, k) for k in keys] for q in queries]
         assert len(_Handler.received) <= 7
         assert sorted(_Handler.received) == sorted(set(queries) | set(keys))
-        fresh = [[HttpEmbeddingProvider(embed_server).similarity(q, k) for k in keys]
+        fresh = [[HttpEmbeddingProvider(embed_server, TIMEOUT).similarity(q, k) for k in keys]
                  for q in queries]
         assert scores == fresh
 
     def test_failed_request_caches_nothing(self, embed_server):
-        provider = HttpEmbeddingProvider(embed_server)
+        provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         _Handler.mode = "garbage"
         with pytest.raises(EmbeddingServiceError):
             provider.similarity("add sugar", "stir")
         _Handler.mode = "ok"
         _Handler.received = []
         assert provider.similarity("add sugar", "stir") == pytest.approx(
-            HttpEmbeddingProvider(embed_server).similarity("add sugar", "stir")
+            HttpEmbeddingProvider(embed_server, TIMEOUT).similarity("add sugar", "stir")
         )
         assert _Handler.received[:2] == ["add sugar", "stir"]
 
     def test_dimension_change_between_requests_is_a_hard_error(self, embed_server):
-        provider = HttpEmbeddingProvider(embed_server)
+        provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         provider.embed(["add sugar"])
         _Handler.mode = "wider"
         with pytest.raises(EmbeddingServiceError):
             provider.similarity("add sugar", "stir")
 
     def test_embedded_vectors_are_read_only(self, embed_server):
-        (vec,) = HttpEmbeddingProvider(embed_server).embed(["add sugar"])
+        (vec,) = HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["add sugar"])
         with pytest.raises(TypeError):
             vec[0] = 1.0
