@@ -437,13 +437,20 @@ def library_to_json(library: StepLibrary) -> dict:
 
 def _library(data: dict) -> StepLibrary:
     steps = [
-        Step(checked_int(row["step_id"]), row["raw_text"], row["normalized_text"])
+        Step(
+            checked_int(row["step_id"]),
+            checked_str(row["raw_text"], "raw_text"),
+            checked_str(row["normalized_text"], "normalized_text"),
+        )
         for row in data["steps"]
     ]
     return StepLibrary(
-        data["task_id"],
+        checked_str(data["task_id"], "task_id"),
         steps,
-        [(title, checked_float(score)) for title, score in data.get("source_docs", [])],
+        [
+            (checked_str(title, "source document title"), checked_float(score))
+            for title, score in data.get("source_docs", [])
+        ],
         [[checked_int(s) for s in seq] for seq in data.get("doc_sequences", [])],
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .corpus import RawSequenceRecord, Step, StepLibrary, TaskSpec
-from .corpus import checked_float, checked_int, parse_rows
+from .corpus import checked_float, checked_int, checked_str, parse_rows
 from .errors import EmptySequence, NoDocuments
 # read_jsonl stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_jsonl, write_jsonl  # noqa: F401
@@ -266,8 +266,8 @@ def grounded_to_json(seq: GroundedSequence) -> dict:
 
 def grounded_from_json(row: dict) -> GroundedSequence:
     return GroundedSequence(
-        row["video_id"],
-        row["task_id"],
+        checked_str(row["video_id"], "video_id"),
+        checked_str(row["task_id"], "task_id"),
         [checked_int(s) for s in row["step_ids"]],
         [checked_float(s) for s in row["scores"]],
         checked_int(row.get("dropped", 0)),

@@ -58,11 +58,25 @@ class TfidfSimilarity:
     vocabulary contribute nothing there.
 
     Work is memoised for the life of the provider: each distinct text is
-    tokenised and weighted once, and its L2 norm and unit vector are kept;
-    each distinct (a, b) pair is scored once, into a row of scores kept per
-    first text, so a repeated pair is a dictionary lookup. A pair is scored
-    from the memoised weights with the same float operations as uncached
-    scoring, so every score is bit-identical to it in any call order.
+    tokenised and weighted once, and its L2 norm and unit vector are kept.
+    Scores come in rows. Every second text similarity() has been asked
+    about is a column, kept in an inverted index (token -> column texts and
+    their weights). The first time a text is asked about as the first
+    argument, its score against every known column is filled in one pass
+    over that index; a column that arrives later is scored for that row
+    alone. So a repeated pair, or any pair of a filled row, is a dictionary
+    lookup. Scores use the same float operations as uncached scoring (each
+    shared token's product, summed by fsum), so every score is
+    bit-identical to it in any call order.
+
+    A row costs one score per column, so it pays only when the first texts
+    are scored against most columns. Each stage's columns are few: the
+    task name in library, the step texts and the task name in ground (so a
+    row never exceeds V + 1 scores), none in losses, which only embeds. A
+    caller that scored many disjoint pairs would fill rows it never reads.
+    Grounding still asks for one pair per call, so the benchmark's count of
+    similarity() calls stays a count of pairs asked for (ROADMAP item 4).
+
     Vectors returned by embed() are shared and read-only. A provider serves
     one CLI stage, so the memo needs no bound.
     """
@@ -78,6 +92,8 @@ class TfidfSimilarity:
         self._weighted: dict[str, tuple[dict[str, float], float]] = {}
         self._vectors: dict[str, tuple[float, ...]] = {}
         self._rows: dict[str, dict[str, float]] = {}
+        self._columns: dict[str, None] = {}  # every b asked about, as an ordered set
+        self._index: dict[str, list[tuple[str, float]]] = {}
 
     def _idf(self, token: str) -> float:
         return math.log((1 + self._num_docs) / (1 + self._df.get(token, 0))) + 1.0
@@ -93,25 +109,40 @@ class TfidfSimilarity:
 
     def similarity(self, a: str, b: str) -> float:
         row = self._rows.get(a)
+        if row is not None:
+            score = row.get(b)
+            if score is not None:
+                return score
+        if b not in self._columns:
+            weights, _ = self._weighted.get(b) or self._memo_weights(b)
+            self._columns[b] = None
+            for token, weight in weights.items():
+                self._index.setdefault(token, []).append((b, weight))
         if row is None:
-            row = self._rows[a] = {}
-        score = row.get(b)
-        if score is None:
-            score = row[b] = self._score(a, b)
-        return score
+            row = self._rows[a] = self._score_row(a, self._index, self._columns)
+        else:  # b became a column after a's row was filled: an index of b alone
+            weights, _ = self._weighted[b]
+            row.update(self._score_row(a, {t: [(b, w)] for t, w in weights.items()}, [b]))
+        return row[b]
 
-    def _score(self, a: str, b: str) -> float:
+    def _score_row(self, a: str, index, columns) -> dict[str, float]:
+        """a's scores against columns, whose weights index holds: token -> [(column, weight)]."""
         wa, norm_a = self._weighted.get(a) or self._memo_weights(a)
-        wb, norm_b = self._weighted.get(b) or self._memo_weights(b)
-        if not wa or not wb:
-            return 0.0
-        if wa == wb:
-            return 1.0
-        shared = wa.keys() & wb.keys()
-        if not shared:
-            return 0.0  # what the empty fsum below would give: 0.0 / a positive norm
-        dot = math.fsum(wa[t] * wb[t] for t in shared)
-        return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+        row = dict.fromkeys(columns, 0.0)  # an empty text, or no shared token, scores 0.0
+        products: dict[str, list[float]] = {}
+        for token, weight in wa.items():
+            for column, column_weight in index.get(token, ()):
+                products.setdefault(column, []).append(weight * column_weight)
+        weighted, n_a, fsum = self._weighted, len(wa), math.fsum
+        for column, shared in products.items():
+            wb, norm_b = weighted[column]
+            if len(shared) == n_a and wa == wb:
+                row[column] = 1.0
+            else:
+                # fsum of one product is that product; scores are never negative (idf >= 1).
+                score = (shared[0] if len(shared) == 1 else fsum(shared)) / (norm_a * norm_b)
+                row[column] = score if score < 1.0 else 1.0
+        return row
 
     def _memo_vector(self, text: str) -> tuple[float, ...]:
         weights, _ = self._weighted.get(text) or self._memo_weights(text)

@@ -688,6 +688,22 @@ class TestMalformedArtifacts:
                          "missing key 'steps'", id="decode-library-no-steps"),
             pytest.param("decode", MODEL_FILE, lambda data: [1, 2], "list indices",
                          id="decode-model-list"),
+            pytest.param("ground", LIBRARY_FILE,
+                         lambda data: _with_step(data, 0, "normalized_text", ["zz", "qq", "rr"]),
+                         "normalized_text must be a string", id="ground-library-list-text"),
+            pytest.param("decode", GROUNDED_LIBRARY_FILE, lambda data: {**data, "task_id": 3},
+                         "task_id must be a string, got 3", id="decode-library-int-task-id"),
+            pytest.param("train", GROUNDED_LIBRARY_FILE,
+                         lambda data: _with_step(data, 0, "raw_text", None),
+                         "raw_text must be a string, got None", id="train-library-null-raw-text"),
+            pytest.param("eval", GROUNDED_LIBRARY_FILE,
+                         lambda data: {**data, "source_docs": [[7, 1.0]]},
+                         "source document title must be a string, got 7",
+                         id="eval-library-int-doc-title"),
+            pytest.param("stats", GROUNDED_FILE, lambda row: {**row, "video_id": 5},
+                         "video_id must be a string, got 5", id="stats-grounded-int-video-id"),
+            pytest.param("losses", GROUNDED_FILE, lambda row: {**row, "task_id": ["x"]},
+                         "task_id must be a string, got ['x']", id="losses-grounded-list-task-id"),
             pytest.param("train", GROUNDED_LIBRARY_FILE,
                          lambda data: _with_step(data, 0, "step_id", "0"),
                          "'0'", id="train-library-string-step-id"),
@@ -759,9 +775,8 @@ class TestMalformedArtifacts:
                             encoding="utf-8")
             where = f"{path}: "
         capsys.readouterr()
-        code = run_command([stage, "--config", str(finished_run / "settings.cfg"),
-                            "--out-dir", str(out)])
-        assert code == 2
+        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == stage]
+        assert run_command(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BadInput"
         assert err["message"].startswith(where)

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scriptweave.errors import EmbeddingServiceError, ZeroVector
@@ -252,6 +252,48 @@ _POOL = st.sampled_from(
 )
 
 
+# Words in and outside the corpus and punctuation: texts that share one token
+# ("the"), several, none, only tokens outside the corpus, or no token at all.
+_ROW_TEXTS = st.lists(
+    st.sampled_from(["the", "sugar", "stir", "lemons", "pitcher", "zzqx", "widget", "...", "!"]),
+    max_size=5,
+).map(" ".join)
+
+
+@st.composite
+def _row_calls(draw):
+    """Pairs over pools of first and second texts, asked in any order: rows filled
+    before some columns exist and columns that arrive after a row was filled."""
+    firsts = draw(st.lists(_ROW_TEXTS, min_size=1, max_size=6))
+    seconds = draw(st.lists(_ROW_TEXTS, min_size=1, max_size=6))
+    # The same weights in another word order, and a first text that is also a second.
+    seconds += [" ".join(reversed(firsts[0].split())), firsts[-1]]
+    pairs = st.tuples(st.sampled_from(firsts), st.sampled_from(seconds))
+    return draw(st.lists(pairs, min_size=1, max_size=30))
+
+
+class TestTfidfRows:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=_row_calls())
+    @example(calls=[
+        ("add the sugar", "stir the sugar"),  # a row filled before most columns exist
+        ("sugar the add", "add the sugar"),  # the same weights, another order
+        ("add the sugar", "add the sugar"),  # a == b, and a column late for the first row
+        ("add the sugar", "the lemons"),  # one shared token, late
+        ("stir the lemons", "stir the sugar"),  # two shared tokens, a row filled after
+        ("", "stir the sugar"),
+        ("...", "..."),
+        ("zzqx widget", "widget zzqx"),  # only tokens outside the corpus
+        ("widget", "zzqx widget"),
+        ("add the sugar", "..."),
+        ("sugar stir", "sugar sugar sugar stir stir stir"),  # parallel: clamped to 1.0
+    ])
+    def test_rows_match_uncached_scoring(self, calls):
+        provider = TfidfSimilarity(CORPUS)
+        for a, b in calls:
+            assert provider.similarity(a, b).hex() == uncached_similarity(CORPUS, a, b).hex()
+
+
 class TestTfidfMemo:
     @settings(max_examples=150, deadline=None)
     @given(calls=_CALLS)
@@ -276,13 +318,22 @@ class TestTfidfMemo:
 
     def test_each_pair_is_scored_once(self, monkeypatch):
         provider = TfidfSimilarity(CORPUS)
-        scored = []
-        score = provider._score
-        monkeypatch.setattr(provider, "_score", lambda a, b: scored.append((a, b)) or score(a, b))
-        pairs = [("add the sugar", "stir the sugar"), ("stir the sugar", "add the sugar")]
-        for a, b in pairs * 3:
-            provider.similarity(a, b)
-        assert scored == pairs
+        columns = ["add the sugar", "stir the sugar", "serve chilled"]
+        for column in columns:
+            provider.similarity("squeeze the lemons", column)
+        filled = []
+        score_row = provider._score_row
+        monkeypatch.setattr(provider, "_score_row", lambda a, index, of: (
+            filled.append((a, list(of))) or score_row(a, index, of)))
+        # Once the columns are known, a new first text is one row fill; a repeat costs nothing.
+        for a in ["add the sugar", "cold water"] * 3:
+            for b in columns:
+                provider.similarity(a, b)
+        assert filled == [("add the sugar", columns), ("cold water", columns)]
+        # A column that arrives after a row was filled is scored for that row alone.
+        provider.similarity("cold water", "cold pitcher")
+        provider.similarity("cold water", "cold pitcher")
+        assert filled[2:] == [("cold water", ["cold pitcher"])]
 
     def test_embedded_vectors_are_read_only(self):
         provider = TfidfSimilarity(CORPUS)
