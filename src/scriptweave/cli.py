@@ -51,7 +51,6 @@ from .decoder import (
 )
 from .errors import BadConfig, DegenerateInput, EmptySequence, ScriptweaveError
 from .evalharness import (
-    TRAIN_FRACTION,
     baseline_complete,
     baseline_predict,
     build_eval_splits,
@@ -62,7 +61,7 @@ from .evalharness import (
     model_predict_next,
     next_step_metrics,
 )
-from .graphgen import PRUNE_THRESHOLD, classify_relations, export_graph, induce_graph, save_graph
+from .graphgen import classify_relations, export_graph, induce_graph, save_graph
 from .grounding import (
     ground_asr_sequence,
     ground_labelled_sequence,
@@ -108,17 +107,18 @@ SETTINGS = {
     # by title similarity, and k3 gates individual transcript pieces.
     "k1": (float, 0.35), "k2": (float, 0.75), "k3": (float, 0.40),
     "asr_min_words": (int, 10), "stop_words": (tuple, ("subscribe", "channel", "sponsor")),
-    # corpus statistics
-    "frequency_threshold": (int, corpuslib.FREQUENCY_THRESHOLD),
+    # corpus statistics: a successor is frequent when its pair occurs in more
+    # than frequency_threshold videos
+    "frequency_threshold": (int, 10),
     # path model
     "order": (int, 2), "smoothing_lambda": (float, 0.1),
     # losses
     "epoch": (int, 0), "num_negatives": (int, 3), "max_shuffle_attempts": (int, 100),
     "temperature": (float, 0.1), "alpha": (float, 1.0),
     # decoding (max_steps unset: twice the library size) / graph
-    "beam_width": (int, 40), "max_steps": (int, None), "prune_threshold": (float, PRUNE_THRESHOLD),
-    # evaluation
-    "train_fraction": (float, TRAIN_FRACTION),
+    "beam_width": (int, 40), "max_steps": (int, None), "prune_threshold": (float, 0.175),
+    # evaluation: the share of sequences, split by video, that train the evaluated model
+    "train_fraction": (float, 0.40),
 }
 
 
@@ -420,7 +420,7 @@ def cmd_graph(cfg: PipelineConfig, extra_out: str | None = None) -> int:
     graph = classify_relations(graph)
     json_path = _out_path(cfg, GRAPH_JSON_FILE)
     save_graph(graph, json_path)
-    dot = export_graph(graph, "dot")
+    dot = export_graph(graph)
     dot_path = _out_path(cfg, GRAPH_DOT_FILE)
     dot_path.write_text(dot, encoding="utf-8")
     if extra_out:
@@ -436,15 +436,14 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
     model = train_path_model(split.train, library, cfg)
 
-    docs = library.doc_sequences
     systems = {
         "model": (
             model_predict_next(model, split),
             model_complete(model, split, cfg.max_steps),
         ),
         "linear": (
-            baseline_predict("linear", split, library, docs, rng_seed=cfg.seed),
-            baseline_complete("linear", split, library, docs, rng_seed=cfg.seed),
+            baseline_predict("linear", split, library, rng_seed=cfg.seed),
+            baseline_complete("linear", split, library, rng_seed=cfg.seed),
         ),
         "random": (
             baseline_predict("random", split, library, rng_seed=cfg.seed),

@@ -21,8 +21,6 @@ from .record import Record
 
 # Kept candidates must differ by at least this normalized edit distance.
 DEDUP_DISTANCE = 0.1
-# A successor is frequent when its pair occurs in more than this many videos.
-FREQUENCY_THRESHOLD = 10
 
 _BRACKETED_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]")
 _EDGE_PUNCT_RE = re.compile(r"^[\W_]+|[\W_]+$")
@@ -147,24 +145,9 @@ def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]
     return kept, mapping
 
 
-class _TaskFields(NamedTuple):
+class TaskSpec(NamedTuple):
     task_id: str
     task_name: str
-    category: str | None = None
-
-
-class TaskSpec(_TaskFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.task_id or not self.task_name:
-            raise ValueError("task_id and task_name must be non-empty")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
 
 class Step(NamedTuple):
@@ -301,7 +284,7 @@ class CorpusStats(NamedTuple):
     frequency_threshold: int
 
 
-def corpus_statistics(sequences, frequency_threshold: int = FREQUENCY_THRESHOLD) -> CorpusStats:
+def corpus_statistics(sequences, frequency_threshold: int) -> CorpusStats:
     """Measure how non-sequential a corpus of grounded sequences is.
 
     reversal_rate is the fraction of unordered step pairs, observed
@@ -384,7 +367,10 @@ def parse_rows(path: str | Path, parse: Callable) -> list:
 
 def _task(row) -> TaskSpec:
     task_id = checked_str(row["task_id"], "task_id")
-    return TaskSpec(task_id, checked_str(row["task_name"], "task_name"), row.get("category"))
+    task_name = checked_str(row["task_name"], "task_name")
+    if not task_id or not task_name:
+        raise ValueError("task_id and task_name must be non-empty")
+    return TaskSpec(task_id, task_name)
 
 
 def _candidate_doc(row) -> tuple[str, list[str]]:
@@ -435,12 +421,24 @@ def library_to_json(library: StepLibrary) -> dict:
     }
 
 
+def _normalized_text(value) -> str:
+    """value when normalize_step leaves it unchanged; anything else is a ValueError."""
+    text = checked_str(value, "normalized_text")
+    try:
+        unchanged = normalize_step(text) == text
+    except EmptyStep:
+        unchanged = False
+    if not unchanged:
+        raise ValueError(f"normalized_text {text!r} is not a normalized step text")
+    return text
+
+
 def _library(data: dict) -> StepLibrary:
     steps = [
         Step(
             checked_int(row["step_id"]),
             checked_str(row["raw_text"], "raw_text"),
-            checked_str(row["normalized_text"], "normalized_text"),
+            _normalized_text(row["normalized_text"]),
         )
         for row in data["steps"]
     ]
@@ -449,9 +447,9 @@ def _library(data: dict) -> StepLibrary:
         steps,
         [
             (checked_str(title, "source document title"), checked_float(score))
-            for title, score in data.get("source_docs", [])
+            for title, score in data["source_docs"]
         ],
-        [[checked_int(s) for s in seq] for seq in data.get("doc_sequences", [])],
+        [[checked_int(s) for s in seq] for seq in data["doc_sequences"]],
     )
 
 

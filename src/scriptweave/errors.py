@@ -49,20 +49,12 @@ class EmptyInput(ScriptweaveError):
     """An empty path collection was passed to graph induction."""
 
 
-class UnsupportedFormat(ScriptweaveError):
-    """Unknown export format name."""
-
-
 class TooFewSequences(ScriptweaveError):
     """Not enough sequences to build a train/test split."""
 
 
 class LengthMismatch(ScriptweaveError):
     """Predictions and evaluation examples are not aligned."""
-
-
-class MissingLinearData(ScriptweaveError):
-    """The linear baseline needs source document step orders."""
 
 
 class BadConfig(ScriptweaveError):

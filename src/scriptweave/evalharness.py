@@ -18,14 +18,11 @@ import random
 from typing import Sequence
 
 from .corpus import StepLibrary, levenshtein
-from .errors import LengthMismatch, MissingLinearData, TooFewSequences
+from .errors import LengthMismatch, TooFewSequences
 from .grounding import GroundedSequence
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, check_steps, next_step_distribution  # noqa: F401
 from .record import Record
-
-# Share of sequences, split by video, that train the evaluated model.
-TRAIN_FRACTION = 0.40
 
 
 class EvalExample(Record):
@@ -45,9 +42,7 @@ class EvalSplit(Record):
 
 
 def build_eval_splits(
-    sequences: Sequence[GroundedSequence],
-    train_fraction: float = TRAIN_FRACTION,
-    rng_seed: int = 0,
+    sequences: Sequence[GroundedSequence], train_fraction: float, rng_seed: int
 ) -> EvalSplit:
     """Shuffle sequences, split by video, and expand test prefixes.
 
@@ -58,8 +53,6 @@ def build_eval_splits(
     sequences = list(sequences)
     if len(sequences) < 2:
         raise TooFewSequences("need at least two sequences to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
     order = list(sequences)
     random.Random(rng_seed).shuffle(order)
     n_train = min(max(int(len(order) * train_fraction), 1), len(order) - 1)
@@ -137,36 +130,30 @@ def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -
     return {"Acc@1": acc / n, "EditDist": dist_sum / n, "NormalizedEditDist": norm_sum / n}
 
 
-def _unused_steps(kind, split, library, linear_sequences) -> list[tuple[tuple, set, list[int]]]:
+def _unused_steps(kind, split, library) -> list[tuple[tuple, set, list[int]]]:
     """(prefix, its step set, library steps not in it) per test example."""
     if kind not in ("random", "linear"):
         raise ValueError(f"unknown baseline {kind!r}")
-    if kind == "linear" and linear_sequences is None:
-        raise MissingLinearData("linear baseline needs source document step orders")
     all_ids = library.step_ids()
     used_sets = [(example.prefix, set(example.prefix)) for example in split.test_examples]
     return [(prefix, used, [s for s in all_ids if s not in used]) for prefix, used in used_sets]
 
 
 def baseline_predict(
-    kind: str,
-    split: EvalSplit,
-    library: StepLibrary,
-    linear_sequences: Sequence[Sequence[int]] | None = None,
-    rng_seed: int = 0,
+    kind: str, split: EvalSplit, library: StepLibrary, rng_seed: int
 ) -> list[list[int]]:
     """Ranked next-step predictions for the random or linear baseline.
 
     random: a uniform shuffle of the steps not in the prefix. linear:
-    the continuation read off the best-matching source document order
-    containing the prefix tail (skipping already-used steps), padded with
-    the remaining steps in random order; falls back to random when no
-    document contains the tail.
+    the continuation read off the best-matching order in
+    library.doc_sequences containing the prefix tail (skipping
+    already-used steps), padded with the remaining steps in random order;
+    falls back to random when no document contains the tail.
     """
     rng = random.Random(rng_seed)
     predictions = []
-    for prefix, used, remaining in _unused_steps(kind, split, library, linear_sequences):
-        head = _linear_completion(prefix, used, linear_sequences) if kind == "linear" else []
+    for prefix, used, remaining in _unused_steps(kind, split, library):
+        head = _linear_completion(prefix, used, library) if kind == "linear" else []
         rest = [step_id for step_id in remaining if step_id not in head] if head else remaining
         rng.shuffle(rest)
         predictions.append(head + rest)
@@ -174,22 +161,18 @@ def baseline_predict(
 
 
 def baseline_complete(
-    kind: str,
-    split: EvalSplit,
-    library: StepLibrary,
-    linear_sequences: Sequence[Sequence[int]] | None = None,
-    rng_seed: int = 0,
+    kind: str, split: EvalSplit, library: StepLibrary, rng_seed: int
 ) -> list[list[int]]:
     """Completion predictions for the baselines.
 
     random: a random-length random continuation over unused steps.
-    linear: the rest of the best-matching document order, falling back
-    to random.
+    linear: the rest of the best-matching order in library.doc_sequences,
+    falling back to random.
     """
     rng = random.Random(rng_seed)
     predictions = []
-    for prefix, used, remaining in _unused_steps(kind, split, library, linear_sequences):
-        completion = _linear_completion(prefix, used, linear_sequences) if kind == "linear" else []
+    for prefix, used, remaining in _unused_steps(kind, split, library):
+        completion = _linear_completion(prefix, used, library) if kind == "linear" else []
         if not completion:
             rng.shuffle(remaining)
             completion = remaining[: rng.randint(1, len(remaining)) if remaining else 0]
@@ -197,10 +180,10 @@ def baseline_complete(
     return predictions
 
 
-def _linear_completion(prefix, used, docs) -> list[int]:
+def _linear_completion(prefix, used, library) -> list[int]:
     """Unused steps after the prefix's last step in the first document with any, else []."""
     tail = prefix[-1]
-    for doc in docs:
+    for doc in library.doc_sequences:
         if tail in doc:
             continuation = [s for s in doc[doc.index(tail) + 1 :] if s not in used]
             if continuation:

@@ -13,13 +13,11 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .corpus import StepLibrary
-from .errors import EmptyInput, UnsupportedFormat
+from .errors import EmptyInput
 # read_json stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_json, write_json  # noqa: F401
 from .pathmodel import END, START
 from .record import Record
-
-PRUNE_THRESHOLD = 0.175
 
 
 class GraphEdge(NamedTuple):
@@ -56,10 +54,7 @@ class GraphScript(Record):
 
 
 def induce_graph(
-    paths: Sequence[Sequence[int]],
-    prune_threshold: float = PRUNE_THRESHOLD,
-    task_id: str = "",
-    library: StepLibrary | None = None,
+    paths: Sequence[Sequence[int]], prune_threshold: float, task_id: str, library: StepLibrary
 ) -> GraphScript:
     """Accumulate paths into a pruned step graph.
 
@@ -67,7 +62,7 @@ def induce_graph(
     weight is its path count divided by the number of paths; edges with
     weight <= prune_threshold are removed, and afterwards any step not on
     a START-to-END route through surviving edges is dropped along with
-    its edges.
+    its edges. Each kept step is labelled with its library text.
     """
     paths = [list(path) for path in paths]
     if not paths:
@@ -97,9 +92,7 @@ def induce_graph(
         for (src, dst), count in sorted(surviving.items())
         if src in virtual_ok and dst in virtual_ok
     ]
-    labels = {}
-    if library is not None:
-        labels = {node: library.steps[node].normalized_text for node in sorted(kept_nodes)}
+    labels = {node: library.steps[node].normalized_text for node in sorted(kept_nodes)}
     return GraphScript(task_id, sorted(kept_nodes), edges, num_paths, labels=labels)
 
 
@@ -161,25 +154,19 @@ def classify_relations(graph: GraphScript) -> GraphScript:
     )
 
 
-def export_graph(graph: GraphScript, fmt: str) -> str:
-    if fmt == "dot":
-        return graph_to_dot(graph)
-    raise UnsupportedFormat(f"unknown graph export format {fmt!r}")
-
-
 def _node_name(graph: GraphScript, node: int) -> str:
     if node == START:
         return "START"
     if node == END:
         return "END"
-    return graph.labels.get(node, f"step {node}")
+    return graph.labels[node]
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(graph: GraphScript) -> str:
+def export_graph(graph: GraphScript) -> str:
     """Render as Graphviz DOT.
 
     Interchangeable pairs collapse to one double-headed edge, optional
@@ -227,7 +214,7 @@ def graph_to_json(graph: GraphScript) -> dict:
         "task_id": graph.task_id,
         "num_paths": graph.num_paths,
         "nodes": [
-            {"id": node, "label": graph.labels.get(node, "")} for node in graph.nodes
+            {"id": node, "label": graph.labels[node]} for node in graph.nodes
         ],
         "edges": [
             {

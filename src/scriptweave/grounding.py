@@ -270,7 +270,7 @@ def grounded_from_json(row: dict) -> GroundedSequence:
         checked_str(row["task_id"], "task_id"),
         [checked_int(s) for s in row["step_ids"]],
         [checked_float(s) for s in row["scores"]],
-        checked_int(row.get("dropped", 0)),
+        checked_int(row["dropped"]),
     )
 
 

@@ -609,7 +609,7 @@ def test_criterion_09_model_beats_linear_beats_random():
 
         predictions = {
             "model": model_predict_next(model, split),
-            "linear": baseline_predict("linear", split, library, [linear_doc], rng_seed=seed),
+            "linear": baseline_predict("linear", split, library, rng_seed=seed),
             "random": baseline_predict("random", split, library, rng_seed=seed),
         }
         for system, ranked in predictions.items():

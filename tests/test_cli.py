@@ -541,6 +541,19 @@ class TestErrorReporting:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
 
+    @pytest.mark.parametrize("row", [{"task_id": "", "task_name": "make lemonade"},
+                                     {"task_id": "t1", "task_name": ""}], ids=["id", "name"])
+    def test_empty_task_name_reports_bad_input(self, workspace, capsys, row):
+        tasks = workspace / "tasks.jsonl"
+        write_jsonl_file(tasks, [row])
+        code = run_command(["library", "--seed", "1", "--tasks", str(tasks),
+                            "--docs", str(workspace / "docs.jsonl"),
+                            "--out-dir", str(workspace / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"] == f"{tasks}:1: task_id and task_name must be non-empty"
+
     @pytest.mark.parametrize(
         "env, config, argv, key",
         [
@@ -686,6 +699,19 @@ class TestMalformedArtifacts:
                          "missing key 'steps'", id="graph-decoded-no-steps"),
             pytest.param("decode", GROUNDED_LIBRARY_FILE, lambda data: _without(data, "steps"),
                          "missing key 'steps'", id="decode-library-no-steps"),
+            *[pytest.param("eval", GROUNDED_LIBRARY_FILE, lambda data, key=key: _without(data, key),
+                           f"missing key '{key}'", id=f"eval-library-no-{key}")
+              for key in ("source_docs", "doc_sequences")],
+            pytest.param("train", GROUNDED_FILE, lambda row: _without(row, "dropped"),
+                         "missing key 'dropped'", id="train-grounded-no-dropped"),
+            pytest.param("decode", GROUNDED_LIBRARY_FILE,
+                         lambda data: _with_step(_with_step(data, 0, "normalized_text", "mix it"),
+                                                 1, "normalized_text", "mix  it"),
+                         "'mix  it' is not a normalized step text",
+                         id="decode-library-whitespace-twin"),
+            pytest.param("decode", GROUNDED_LIBRARY_FILE,
+                         lambda data: _with_step(data, 0, "normalized_text", ""),
+                         "'' is not a normalized step text", id="decode-library-empty-text"),
             pytest.param("decode", MODEL_FILE, lambda data: [1, 2], "list indices",
                          id="decode-model-list"),
             pytest.param("ground", LIBRARY_FILE,

@@ -292,10 +292,11 @@ class TestCorpusStatistics:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
-            corpus_statistics([])
+            corpus_statistics([], frequency_threshold=10)
 
     def test_reversal_rate_counts_unordered_pairs(self):
-        stats = corpus_statistics([_seq("a", [1, 2]), _seq("b", [2, 1]), _seq("c", [1, 3])])
+        seqs = [_seq("a", [1, 2]), _seq("b", [2, 1]), _seq("c", [1, 3])]
+        stats = corpus_statistics(seqs, frequency_threshold=10)
         # pairs {1,2} (both orders) and {1,3} (one order)
         assert stats.reversal_rate == pytest.approx(0.5)
 
@@ -319,7 +320,7 @@ class TestCorpusStatistics:
         assert stats.mean_frequent_next_steps_all == 0.0
 
     def test_returns_frozen_dataclass(self):
-        stats = corpus_statistics([_seq("a", [1, 2])])
+        stats = corpus_statistics([_seq("a", [1, 2])], frequency_threshold=10)
         assert isinstance(stats, CorpusStats)
         with pytest.raises(AttributeError):
             stats.reversal_rate = 1.0

@@ -6,7 +6,7 @@ import pytest
 
 from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
-from scriptweave.errors import LengthMismatch, MissingLinearData, TooFewSequences
+from scriptweave.errors import LengthMismatch, TooFewSequences
 from scriptweave.evalharness import (
     EvalExample,
     EvalSplit,
@@ -28,6 +28,11 @@ def make_library(n):
     return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n)])
 
 
+def with_docs(library, *docs):
+    """library with the given document step orders, read by the linear baseline."""
+    return StepLibrary(library.task_id, library.steps, doc_sequences=list(docs))
+
+
 def seqs(*paths):
     return [
         GroundedSequence(f"v{i}", "t1", list(p), [1.0] * len(p)) for i, p in enumerate(paths)
@@ -36,20 +41,21 @@ def seqs(*paths):
 
 class TestBuildEvalSplits:
     def test_train_size_is_floor_of_fraction(self):
-        split = build_eval_splits(seqs([0, 1], [1, 2], [2, 3], [3, 4], [4, 5]), 0.40)
+        sequences = seqs([0, 1], [1, 2], [2, 3], [3, 4], [4, 5])
+        split = build_eval_splits(sequences, 0.40, rng_seed=0)
         assert len(split.train) == 2
 
     def test_small_fraction_keeps_one_train_sequence(self):
-        split = build_eval_splits(seqs([0, 1], [1, 2], [2, 3]), 0.01)
+        split = build_eval_splits(seqs([0, 1], [1, 2], [2, 3]), 0.01, rng_seed=0)
         assert len(split.train) == 1
 
     def test_large_fraction_keeps_one_test_sequence(self):
-        split = build_eval_splits(seqs([0, 1], [1, 2], [2, 3]), 0.99)
+        split = build_eval_splits(seqs([0, 1], [1, 2], [2, 3]), 0.99, rng_seed=0)
         assert len(split.train) == 2
 
     def test_every_proper_prefix_becomes_an_example(self):
         # force a known split: with 2 sequences exactly one goes to train
-        split = build_eval_splits(seqs([0, 1, 2], [0, 1, 2]), 0.5)
+        split = build_eval_splits(seqs([0, 1, 2], [0, 1, 2]), 0.5, rng_seed=0)
         prefixes = [ex.prefix for ex in split.test_examples]
         assert prefixes == [(0,), (0, 1)]
         by_prefix = {ex.prefix: ex for ex in split.test_examples}
@@ -72,7 +78,7 @@ class TestBuildEvalSplits:
         assert by_prefix[(0, 1)].gold_completions == {(2,), (3,)}
 
     def test_examples_sorted_by_prefix(self):
-        split = build_eval_splits(seqs([3, 1, 2], [0, 2, 1], [2, 0], [1, 0, 3]), 0.25)
+        split = build_eval_splits(seqs([3, 1, 2], [0, 2, 1], [2, 0], [1, 0, 3]), 0.25, rng_seed=0)
         prefixes = [ex.prefix for ex in split.test_examples]
         assert prefixes == sorted(prefixes)
 
@@ -85,14 +91,7 @@ class TestBuildEvalSplits:
 
     def test_needs_two_sequences(self):
         with pytest.raises(TooFewSequences):
-            build_eval_splits(seqs([0, 1]))
-
-    def test_fraction_bounds(self):
-        sequences = seqs([0, 1], [1, 2])
-        with pytest.raises(ValueError):
-            build_eval_splits(sequences, 0.0)
-        with pytest.raises(ValueError):
-            build_eval_splits(sequences, 1.0)
+            build_eval_splits(seqs([0, 1]), 0.40, rng_seed=0)
 
 
 def split_of(*examples):
@@ -212,7 +211,7 @@ class TestBaselines:
     def test_linear_follows_document_order(self):
         split = split_of(EvalExample((1,), {2}, {(2,)}))
         (ranked,) = baseline_predict(
-            "linear", split, self.LIB, linear_sequences=[[0, 1, 2, 3]], rng_seed=0
+            "linear", split, with_docs(self.LIB, [0, 1, 2, 3]), rng_seed=0
         )
         assert ranked[:2] == [2, 3]
         assert sorted(ranked) == [0, 2, 3, 4]
@@ -220,7 +219,7 @@ class TestBaselines:
     def test_linear_skips_steps_already_used(self):
         split = split_of(EvalExample((2, 1), {3}, {(3,)}))
         (ranked,) = baseline_predict(
-            "linear", split, self.LIB, linear_sequences=[[0, 1, 2, 3, 4]], rng_seed=0
+            "linear", split, with_docs(self.LIB, [0, 1, 2, 3, 4]), rng_seed=0
         )
         # continuation after 1 in the document is [2, 3, 4] minus used 2
         assert ranked[:2] == [3, 4]
@@ -228,25 +227,26 @@ class TestBaselines:
     def test_linear_falls_back_to_random_when_tail_unknown(self):
         split = split_of(EvalExample((4,), {1}, {(1,)}))
         (ranked,) = baseline_predict(
-            "linear", split, self.LIB, linear_sequences=[[0, 1, 2]], rng_seed=0
+            "linear", split, with_docs(self.LIB, [0, 1, 2]), rng_seed=0
         )
         assert sorted(ranked) == [0, 1, 2, 3]
 
-    def test_linear_without_documents_rejected(self):
-        split = split_of(EvalExample((0,), {1}, {(1,)}))
-        with pytest.raises(MissingLinearData):
-            baseline_predict("linear", split, self.LIB)
+    def test_linear_without_documents_is_random(self):
+        split = split_of(EvalExample((0,), {1}, {(1,)}), EvalExample((0, 2), {1}, {(1,)}))
+        for baseline in (baseline_predict, baseline_complete):
+            linear = baseline("linear", split, self.LIB, rng_seed=3)
+            assert linear == baseline("random", split, self.LIB, rng_seed=3)
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError):
-            baseline_predict("oracle", split_of(), self.LIB)
+            baseline_predict("oracle", split_of(), self.LIB, rng_seed=0)
         with pytest.raises(ValueError):
-            baseline_complete("oracle", split_of(), self.LIB)
+            baseline_complete("oracle", split_of(), self.LIB, rng_seed=0)
 
     def test_linear_completion_is_document_remainder(self):
         split = split_of(EvalExample((0, 1), {2}, {(2, 3)}))
         (completion,) = baseline_complete(
-            "linear", split, self.LIB, linear_sequences=[[0, 1, 2, 3]], rng_seed=0
+            "linear", split, with_docs(self.LIB, [0, 1, 2, 3]), rng_seed=0
         )
         assert completion == [2, 3]
 

@@ -5,8 +5,12 @@ equality, round trips, immutability of the value records, constructor
 errors, and no mutable default shared between instances.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import scriptweave
 from scriptweave.cli import SETTINGS, PipelineConfig
 from scriptweave.contrastive import ContrastiveBatch
 from scriptweave.corpus import (
@@ -81,22 +85,7 @@ class TestValueRecords:
         assert hash(type(value)(*fields)) == hash(value)
 
     def test_defaults(self):
-        assert TaskSpec("t", "n").category is None
         assert SequenceItem("x") == ("x", None, None)
-
-    @pytest.mark.parametrize("task_id, task_name", [("", "n"), ("t", ""), (None, "n")])
-    def test_task_spec_rejects_empty_names(self, task_id, task_name):
-        with pytest.raises(ValueError, match="non-empty"):
-            TaskSpec(task_id, task_name)
-        with pytest.raises(ValueError, match="non-empty"):
-            TaskSpec(task_id=task_id, task_name=task_name, category="c")
-
-    def test_task_spec_replace_validates(self):
-        task = TaskSpec("t", "n")
-        assert task._replace(category="c") == ("t", "n", "c")
-        assert TaskSpec._make(["t", "n", None]) == task
-        with pytest.raises(ValueError, match="non-empty"):
-            task._replace(task_name="")
 
     def test_missing_arguments_raise_type_error(self):
         with pytest.raises(TypeError):
@@ -189,6 +178,34 @@ class TestPipelineConfig:
         assert len(SETTINGS) == 28
         for name, (kind, default) in SETTINGS.items():
             assert default is None or isinstance(default, kind), name
+
+    def test_settings_are_stated_only_in_the_table(self):
+        """No module but cli binds a setting's name upper-cased, or gives a parameter
+        named after a setting a default (bar None for a setting whose default is None)."""
+        constants = {name.upper() for name in SETTINGS}
+        stray = []
+        for path in sorted(Path(scriptweave.__file__).parent.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(target, ast.Name) and target.id in constants:
+                        stray.append(f"{path.name}:{target.lineno}: {target.id}")
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.arguments):
+                    continue
+                positional = node.posonlyargs + node.args
+                defaulted = [*zip(positional[len(positional) - len(node.defaults):], node.defaults),
+                             *zip(node.kwonlyargs, node.kw_defaults)]
+                for arg, default in defaulted:
+                    if default is None or arg.arg not in SETTINGS:
+                        continue
+                    unset_none = SETTINGS[arg.arg][1] is None and (
+                        isinstance(default, ast.Constant) and default.value is None)
+                    if not unset_none:
+                        stray.append(f"{path.name}:{arg.lineno}: {arg.arg}")
+        assert stray == []
 
     def test_settings_are_attributes_with_their_defaults(self):
         cfg = PipelineConfig(seed=5, k1=0.5, order=3, beam_width=9)
