@@ -115,7 +115,7 @@ SETTINGS = {
     # losses
     "epoch": (int, 0), "num_negatives": (int, 3), "max_shuffle_attempts": (int, 100),
     "temperature": (float, 0.1), "alpha": (float, 1.0),
-    # decoding (max_steps unset: twice the library size) / graph
+    # decode, losses, eval (max_steps unset: twice the library size) / graph
     "beam_width": (int, 40), "max_steps": (int, None), "prune_threshold": (float, 0.175),
     # evaluation: the share of sequences, split by video, that train the evaluated model
     "train_fraction": (float, 0.40),
@@ -352,7 +352,7 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     rng = random.Random(f"{cfg.seed}:losses")
     valid_set = {tuple(seq.step_ids) for seq in sequences}
 
-    generated = greedy_completion(model)
+    generated = greedy_completion(model, (), cfg.max_steps)
     z_generated = sequence_representation(generated, library, provider) if generated else None
     rows = []
     for seq in sequences:

@@ -48,23 +48,40 @@ def normalize_step(raw: str) -> str:
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Unit-cost edit distance between two sequences.
+    """Unit-cost edit distance between two sequences of hashable elements,
+    such as strings (by character) and lists of step ids.
 
-    Works on strings (character level) and on lists of step ids alike.
+    Myers' (1999) bit-parallel recurrence in Hyyrö's edit-distance form: a
+    column of the table over the shorter sequence is two ints of +1/-1
+    vertical deltas (pv, mv), so each element of the longer costs a dozen
+    int operations.
 
     >>> levenshtein("kitten", "sitting")
     3
     """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        current = [i]
-        for j, y in enumerate(b, start=1):
-            cost = 0 if x == y else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    match: dict = {}  # element -> bits of its positions in b
+    for i, y in enumerate(b):
+        match[y] = match.get(y, 0) | 1 << i
+    mask, last = (1 << len(b)) - 1, 1 << (len(b) - 1)  # last: the bit of b's last row
+    pv, mv, distance = mask, 0, len(b)
+    for x in a:
+        eq = match.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = ph << 1 | 1  # row 0 holds j, so every horizontal delta there is +1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def normalized_levenshtein(a: Sequence, b: Sequence) -> float:
@@ -86,40 +103,30 @@ def _max_near_duplicate_edits(longest: int) -> int:
     return edits
 
 
-def is_near_duplicate(a: Sequence, b: Sequence) -> bool:
-    """Exactly ``normalized_levenshtein(a, b) < DEDUP_DISTANCE``, decided early.
+def is_near_duplicate(a: str, b: str) -> bool:
+    """Exactly ``normalized_levenshtein(a, b) < DEDUP_DISTANCE``; a and b are str.
 
-    Only the band |i - j| <= limit of the edit-distance table is computed,
-    where limit is the largest edit count the threshold allows: a cell
-    off the band costs at least |i - j| > limit, so it holds limit + 1,
-    and a band cell then equals the true distance whenever either is at
-    most limit. The edit distance is at least the length difference, and
-    the smallest entry of a row never shrinks from one row to the next, so
-    a pair is rejected as soon as either exceeds limit.
+    With limit the largest edit count that allows, two exact rejects come
+    first. The distance is at least the length difference. And an edit
+    touches at most one of limit + 1 pieces of the longer text (the last
+    takes the remainder), so within limit edits some piece is untouched and
+    is a substring of the other text; that test is why inputs must be str.
     """
     if len(a) < len(b):
         a, b = b, a
     if not a:
         return True  # both empty: normalized distance 0.0
     limit = _max_near_duplicate_edits(len(a))
-    m = len(b)
-    if len(a) - m > limit:
+    if len(a) - len(b) > limit:
         return False
-    cap = limit + 1
-    previous = list(range(m + 1))
-    for i, x in enumerate(a, start=1):
-        first = max(0, i - limit)
-        last = min(m, i + limit)
-        current = [cap] * (m + 1)
-        if first == 0:
-            current[0] = i
-        for j in range(max(1, first), last + 1):
-            cost = 0 if x == b[j - 1] else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-        if min(current[first : last + 1]) > limit:
-            return False
-        previous = current
-    return previous[m] <= limit
+    size = len(a) // (limit + 1)
+    if a[limit * size :] not in b:
+        for start in range(0, limit * size, size):
+            if a[start : start + size] in b:
+                break
+        else:
+            return False  # every piece is edited
+    return levenshtein(a, b) <= limit
 
 
 def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]]:
@@ -132,16 +139,13 @@ def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]
     kept: list[str] = []
     mapping: list[int] = []
     for step in steps:
-        match = None
-        for idx, existing in enumerate(kept):
+        for match, existing in enumerate(kept):
             if is_near_duplicate(step, existing):
-                match = idx
                 break
-        if match is None:
-            kept.append(step)
-            mapping.append(len(kept) - 1)
         else:
-            mapping.append(match)
+            match = len(kept)
+            kept.append(step)
+        mapping.append(match)
     return kept, mapping
 
 

@@ -117,7 +117,7 @@ def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -
         predicted = list(predicted)
         best: tuple[int, float] | None = None
         for gold in sorted(example.gold_completions):
-            distance = levenshtein(predicted, list(gold))
+            distance = levenshtein(predicted, gold)
             longest = max(len(predicted), len(gold))
             normalized = distance / longest if longest else 0.0
             if best is None or (distance, normalized) < best:
@@ -207,13 +207,12 @@ def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
     return predictions
 
 
-def greedy_completion(
-    model: PathModel, prefix: Sequence[int] = (), max_steps: int | None = None
-) -> list[int]:
+def greedy_completion(model: PathModel, prefix: Sequence[int], max_steps: int | None) -> list[int]:
     """Most-likely continuation of a prefix until END, banning repeats.
 
-    Ties go to END first, then the lowest step id, so the result is
-    deterministic. Returns only the continuation, without the prefix.
+    At most max_steps steps (None: twice the library size). Ties go to END
+    first, then the lowest step id, so the result is deterministic.
+    Returns only the continuation, without the prefix.
     """
     n_steps = len(model.library.steps)
     cap = max_steps if max_steps is not None else 2 * n_steps
@@ -235,9 +234,7 @@ def greedy_completion(
     return sequence[start:]
 
 
-def model_complete(
-    model: PathModel, split: EvalSplit, max_steps: int | None = None
-) -> list[list[int]]:
+def model_complete(model: PathModel, split: EvalSplit, max_steps: int | None) -> list[list[int]]:
     """Greedy most-likely continuation for every test example."""
     return [greedy_completion(model, example.prefix, max_steps) for example in split.test_examples]
 

@@ -83,23 +83,22 @@ class TfidfSimilarity:
 
     def __init__(self, corpus_texts: Iterable[str]):
         docs = [tokenize(text) for text in corpus_texts]
-        self._num_docs = len(docs)
         df: Counter[str] = Counter()
         for tokens in docs:
             df.update(set(tokens))
-        self._df = dict(df)
-        self._vocab = {token: i for i, token in enumerate(sorted(self._df))}
+        # Smoothed idf, computed once per token; a token outside the corpus has df 0.
+        self._idf = {t: math.log((1 + len(docs)) / (1 + n)) + 1.0 for t, n in df.items()}
+        self._unseen_idf = math.log((1 + len(docs)) / (1 + 0)) + 1.0
+        self._vocab = {token: i for i, token in enumerate(sorted(self._idf))}
         self._weighted: dict[str, tuple[dict[str, float], float]] = {}
         self._vectors: dict[str, tuple[float, ...]] = {}
         self._rows: dict[str, dict[str, float]] = {}
         self._columns: dict[str, None] = {}  # every b asked about, as an ordered set
         self._index: dict[str, list[tuple[str, float]]] = {}
 
-    def _idf(self, token: str) -> float:
-        return math.log((1 + self._num_docs) / (1 + self._df.get(token, 0))) + 1.0
-
     def _weights(self, text: str) -> dict[str, float]:
-        return {t: count * self._idf(t) for t, count in Counter(tokenize(text)).items()}
+        idf, unseen = self._idf, self._unseen_idf
+        return {t: count * idf.get(t, unseen) for t, count in Counter(tokenize(text)).items()}
 
     def _memo_weights(self, text: str) -> tuple[dict[str, float], float]:
         weights = self._weights(text)

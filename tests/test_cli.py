@@ -227,6 +227,19 @@ class TestPipeline:
             assert set(row["methods"]) <= {"resample", "shuffle", "cutswap"}
             assert len(row["methods"]) <= 3
 
+    def test_max_steps_caps_the_generated_path_in_losses(self, workspace, monkeypatch):
+        # At epoch 0 every negative is a resample. A shuffled negative has the
+        # positive's mean embedding, so the generated path would not show.
+        default, capped = workspace / "default", workspace / "capped"
+        for argv in pipeline_argvs(workspace, default)[:4]:  # library .. train
+            assert run_command(argv) == 0, argv[0]
+        shutil.copytree(default, capped)
+        losses = ["losses", "--config", str(workspace / "settings.cfg"), "--epoch", "0"]
+        assert run_command(losses + ["--out-dir", str(default)]) == 0
+        monkeypatch.setenv("SCRIPTWEAVE_MAX_STEPS", "1")
+        assert run_command(losses + ["--out-dir", str(capped)]) == 0
+        assert (capped / LOSSES_FILE).read_bytes() != (default / LOSSES_FILE).read_bytes()
+
     def test_decoded_paths_use_grounded_library_ids(self, workspace):
         out = workspace / "out"
         run_pipeline(workspace, out)

@@ -71,6 +71,23 @@ class TestNormalizeStep:
             assert normalize_step(once) == once
 
 
+def oracle_levenshtein(a, b):
+    """The textbook row-by-row edit-distance table: the oracle for the bit-parallel kernel."""
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        current = [i]
+        for j, y in enumerate(b, start=1):
+            cost = 0 if x == y else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+def oracle_near_duplicate(a, b):
+    longest = max(len(a), len(b))
+    return longest == 0 or oracle_levenshtein(a, b) / longest < DEDUP_DISTANCE
+
+
 class TestLevenshtein:
     def test_classic_pair(self):
         assert levenshtein("kitten", "sitting") == 3
@@ -90,6 +107,30 @@ class TestLevenshtein:
             a = [rng.randrange(4) for _ in range(rng.randint(0, 6))]
             b = [rng.randrange(4) for _ in range(rng.randint(0, 6))]
             assert levenshtein(a, b) == levenshtein(b, a)
+
+    # Lengths up to 150 put patterns well past 64 bits; a small alphabet
+    # gives heavy repeats, and b may use a symbol a lacks (and vice versa).
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 3), max_size=150),
+        b=st.lists(st.integers(0, 4), max_size=150),
+    )
+    def test_matches_row_oracle_on_int_lists(self, a, b):
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+        assert levenshtein(b, a) == oracle_levenshtein(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.text(alphabet="ab c", max_size=120), b=st.text(alphabet="abcd ", max_size=120))
+    def test_matches_row_oracle_on_strings(self, a, b):
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+    def test_wide_patterns(self):
+        # pattern lengths on either side of the 64-bit word size
+        rng = random.Random(9)
+        for n in (63, 64, 65, 128, 129, 150):
+            a = [rng.randrange(6) for _ in range(n)]
+            for b in ([], a, a[1:], a[:-1] + [7], list(reversed(a)), [8] * n, a + a):
+                assert levenshtein(a, b) == oracle_levenshtein(a, b), (n, b)
 
     def test_normalized_range_and_empty(self):
         assert normalized_levenshtein("", "") == 0.0
@@ -129,9 +170,8 @@ class TestDeduplicate:
 def _near_miss_pair(draw):
     """A text and a copy of it with a few random single-character edits.
 
-    Texts run to 90 characters, so the allowed edit count (and with it the
-    width of the band is_near_duplicate computes) reaches 8, and up to 12
-    edits put pairs on both sides of it.
+    Texts run to 90 characters, so the allowed edit count reaches 8, and
+    up to 12 edits put pairs on both sides of it.
     """
     a = draw(st.text(alphabet="ab c", max_size=90))
     b = list(a)
@@ -151,17 +191,16 @@ def _near_miss_pair(draw):
 class TestNearDuplicate:
     @settings(max_examples=600, deadline=None)
     @given(pair=_near_miss_pair())
-    def test_matches_normalized_levenshtein(self, pair):
+    def test_matches_row_oracle(self, pair):
         a, b = pair
-        expected = normalized_levenshtein(a, b) < DEDUP_DISTANCE
+        expected = oracle_near_duplicate(a, b)
         assert is_near_duplicate(a, b) == expected
         assert is_near_duplicate(b, a) == expected
 
     def test_threshold_at_every_length(self):
         # Substitutions at the front; and k characters added at one end and
         # removed at the other, which shifts the best alignment k cells off
-        # the diagonal, so for k near the allowed edit count it runs along
-        # the edge of the band is_near_duplicate computes.
+        # the diagonal.
         rng = random.Random(5)
         for n in range(1, 61):
             text = "".join(rng.choice("abcdefgh ") for _ in range(n))
@@ -172,9 +211,60 @@ class TestNearDuplicate:
                     (text + "x" * k, text),
                     (text[k:] + "y" * k, text),
                 ):
-                    expected = normalized_levenshtein(a, b) < DEDUP_DISTANCE
+                    expected = oracle_near_duplicate(a, b)
                     assert is_near_duplicate(a, b) == expected, (n, k, a, b)
                     assert is_near_duplicate(b, a) == expected, (n, k, a, b)
+
+    # The pigeonhole reject cuts the longer text into limit + 1 pieces of
+    # len // (limit + 1) characters, the last taking the remainder. At 25
+    # characters limit is 2: pieces [0:8], [8:16] and [16:25].
+    TEXT = "abcdefghijklmnopqrstuvwxy"
+
+    def test_equal_texts(self):
+        text = self.TEXT * 4
+        for n in (1, 5, 9, 10, 25, 80):
+            assert is_near_duplicate(text[:n], text[:n])
+
+    def test_short_texts_allow_no_edit(self):
+        # under 10 characters limit is 0: one piece, the whole text
+        assert is_near_duplicate("mix it", "mix it")
+        for a, b in (("mix it", "mix at"), ("mix it", "mix its"), ("stir", "stirs"), ("a", "b")):
+            assert not is_near_duplicate(a, b)
+            assert not is_near_duplicate(b, a)
+
+    def test_edits_on_piece_boundaries(self):
+        text = self.TEXT
+        for pos in (7, 8, 15, 16, 24):
+            for b in (
+                text[:pos] + "z" + text[pos + 1 :],  # substitution
+                text[:pos] + text[pos + 1 :],  # deletion
+                text[:pos] + "z" + text[pos:],  # insertion
+            ):
+                expected = oracle_near_duplicate(text, b)
+                assert is_near_duplicate(text, b) == expected, (pos, b)
+                assert is_near_duplicate(b, text) == expected, (pos, b)
+        # two edits, one on a boundary, leave the third piece untouched
+        for pos, other in ((7, 20), (8, 20), (15, 3), (16, 3)):
+            b = list(text)
+            b[pos] = b[other] = "z"
+            assert is_near_duplicate(text, "".join(b)), (pos, other)
+        # one edit in each piece, the third on a remainder character
+        b = text[:3] + "z" + text[4:11] + "z" + text[12:24] + "z"
+        assert oracle_levenshtein(text, b) == 3
+        assert not is_near_duplicate(text, b)
+        # two of them stay within the limit
+        b = text[:3] + "z" + text[4:24] + "z"
+        assert is_near_duplicate(text, b)
+
+    def test_edits_in_the_remainder_characters(self):
+        # 26 characters: limit 2, pieces [0:8], [8:16], [16:26]
+        text = self.TEXT + "z"
+        for b in (text[:-2] + "##", text[:17] + "#" + text[18:24] + "#" + text[25:]):
+            assert oracle_levenshtein(text, b) == 2
+            assert is_near_duplicate(text, b)
+            assert is_near_duplicate(b, text)
+        b = text[:-3] + "###"
+        assert not is_near_duplicate(text, b)
 
 
 class TestBuildStepLibrary:

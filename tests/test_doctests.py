@@ -1,0 +1,16 @@
+"""Every example in a scriptweave docstring runs and holds."""
+
+import doctest
+import importlib
+import pkgutil
+
+import scriptweave
+
+
+def test_docstring_examples_pass():
+    attempted = {}
+    for info in pkgutil.iter_modules(scriptweave.__path__, "scriptweave."):
+        result = doctest.testmod(importlib.import_module(info.name))
+        assert result.failed == 0, info.name
+        attempted[info.name] = result.attempted
+    assert attempted["scriptweave.corpus"] >= 1  # levenshtein("kitten", "sitting")

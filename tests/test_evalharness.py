@@ -279,19 +279,19 @@ class TestModelSystems:
 
     def test_greedy_completion_follows_the_chain(self):
         model = self.make_model()
-        assert greedy_completion(model, (0,)) == [1, 2]
-        assert greedy_completion(model, ()) == [0, 1, 2]
+        assert greedy_completion(model, (0,), None) == [1, 2]
+        assert greedy_completion(model, (), None) == [0, 1, 2]
 
     def test_greedy_completion_max_steps_caps_length(self):
         model = self.make_model()
-        assert greedy_completion(model, (0,), max_steps=1) == [1]
+        assert greedy_completion(model, (0,), 1) == [1]
 
     def test_model_complete_runs_every_example(self):
         model = self.make_model()
         split = split_of(
             EvalExample((0,), {1}, {(1, 2)}), EvalExample((0, 1), {2}, {(2,)})
         )
-        assert model_complete(model, split) == [[1, 2], [2]]
+        assert model_complete(model, split, None) == [[1, 2], [2]]
 
 
 class TestMetricsTable:
