@@ -35,7 +35,6 @@ from pathlib import Path
 
 from . import corpus as corpuslib
 from .contrastive import (
-    ContrastiveBatch,
     curriculum_mixture,
     draw_negative_method,
     generate_negative,
@@ -132,11 +131,11 @@ class PipelineConfig(Record):
     _fields = tuple(SETTINGS)
     # (settings, the test each value must pass, the rule a failing value breaks)
     _RANGES = (
-        (("keyword_threshold", "relaxed_keyword_threshold", "k1", "k2", "k3"),
+        (("keyword_threshold", "relaxed_keyword_threshold", "k1", "k2", "k3", "prune_threshold"),
          lambda v: 0.0 <= v <= 1.0, "must be in [0, 1], got {}"),
         (("top_m_docs", "asr_min_words", "order", "beam_width", "max_shuffle_attempts"),
          lambda v: v >= 1, "must be at least 1"),
-        (("smoothing_lambda", "num_negatives", "alpha", "epoch"),
+        (("smoothing_lambda", "num_negatives", "alpha", "epoch", "frequency_threshold"),
          lambda v: v >= 0, "must be non-negative"),
         (("max_steps",), lambda v: v is None or v >= 0, "must be non-negative"),
         (("temperature", "embedding_timeout"), lambda v: v > 0, "must be positive"),
@@ -221,15 +220,16 @@ def _env_settings() -> dict:
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge defaults, config file, environment, and flags (in that order)."""
+    """Merge defaults, config file, environment, and flags (in that order). A
+    flag of a non-string setting is parsed as a config-file value is."""
     merged: dict = {}
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
     merged.update(_env_settings())
-    for key in SETTINGS:
+    for key, (kind, _) in SETTINGS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = _coerce(key, flag)
+            merged[key] = _coerce(key, flag if kind is str else _parse_setting(flag))
     return PipelineConfig(**merged)
 
 
@@ -371,8 +371,7 @@ def cmd_losses(cfg: PipelineConfig) -> int:
                 continue
             methods.append(method)
             z_negatives.append(sequence_representation(negative, library, provider))
-        batch = ContrastiveBatch(z_g, z_p, z_negatives)
-        contrastive, _, total = path_level_losses(batch, nll, cfg)
+        contrastive, total = path_level_losses(z_g, z_p, z_negatives, nll, cfg)
         rows.append(
             {
                 "video_id": seq.video_id,
@@ -414,10 +413,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 def cmd_graph(cfg: PipelineConfig, extra_out: str | None = None) -> int:
     library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
     paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE))]
-    graph = induce_graph(
-        paths, prune_threshold=cfg.prune_threshold, task_id=library.task_id, library=library
-    )
-    graph = classify_relations(graph)
+    graph = classify_relations(induce_graph(paths, cfg.prune_threshold, library))
     json_path = _out_path(cfg, GRAPH_JSON_FILE)
     save_graph(graph, json_path)
     dot = export_graph(graph)
@@ -486,7 +482,7 @@ def _parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="path to a 'key = value' settings file")
         p.add_argument("--out-dir", dest="out_dir", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=int, help="random seed (required)")
+        p.add_argument("--seed", help="random seed (required)")
         p.add_argument("--task", help="task id when the task file has several")
 
     p = sub.add_parser("library", help="rank documents and build the step library")
@@ -507,7 +503,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("losses", help="report path-level training losses for one epoch")
     common(p)
-    p.add_argument("--epoch", type=int, help="epoch for the negative-mixture curriculum")
+    p.add_argument("--epoch", help="epoch for the negative-mixture curriculum")
 
     p = sub.add_parser("decode", help="beam-search the most likely step paths")
     common(p)
@@ -519,7 +515,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="next-step and completion metrics with baselines")
     common(p)
     p.add_argument(
-        "--split", dest="train_fraction", type=float,
+        "--split", dest="train_fraction",
         help=f"train fraction (default {SETTINGS['train_fraction'][1]:.2f})",
     )
 

@@ -16,24 +16,10 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .corpus import StepLibrary
 from .errors import DegenerateInput, EmptySequence
 from .pathmodel import check_steps
-from .record import Record
 from .similarity import SimilarityProvider, cosine
 
 if TYPE_CHECKING:
     from .cli import PipelineConfig
-
-NEGATIVE_METHODS = ("resample", "shuffle", "cutswap")
-
-
-class ContrastiveBatch(Record):
-    """Embeddings for one loss evaluation: generated, positive, negatives."""
-
-    _fields = ("z_generated", "z_positive", "z_negatives")
-
-    def __init__(self, z_generated: Sequence[float], z_positive: Sequence[float], z_negatives=None):
-        self.z_generated, self.z_positive = z_generated, z_positive
-        self.z_negatives = [] if z_negatives is None else z_negatives
-
 
 class MixtureWeights(NamedTuple):
     resample: float
@@ -150,22 +136,22 @@ def sequence_representation(
 
 
 def path_level_losses(
-    batch: ContrastiveBatch, nll: float, cfg: PipelineConfig
-) -> tuple[float, float, float]:
-    """(contrastive, cross-entropy, total) losses for one batch.
+    z_generated: Sequence[float], z_positive: Sequence[float],
+    z_negatives: Sequence[Sequence[float]], nll: float, cfg: PipelineConfig,
+) -> tuple[float, float]:
+    """(contrastive, total) losses of a generated path's embedding.
 
     The contrastive part is temperature-scaled softmax over cosine
     similarities of the generated embedding with the positive versus the
     negatives; with no negatives it is exactly zero. The cross-entropy
-    part is the supplied sequence NLL, and total = ce + alpha * contrastive.
+    part is the supplied sequence NLL, and total = nll + alpha * contrastive.
     """
-    z_g = batch.z_generated
-    sims = [cosine(z_g, batch.z_positive)] + [cosine(z_g, z_n) for z_n in batch.z_negatives]
+    sims = [cosine(z_generated, z_positive)] + [cosine(z_generated, z_n) for z_n in z_negatives]
     scaled = [s / cfg.temperature for s in sims]
     # log-sum-exp with max shift for stability
     peak = max(scaled)
     logsum = peak + math.log(math.fsum(math.exp(s - peak) for s in scaled))
     contrastive = -(scaled[0] - logsum)
     total = nll + cfg.alpha * contrastive
-    return contrastive, nll, total
+    return contrastive, total
 

@@ -171,10 +171,9 @@ class StepLibrary(Record):
 
     _fields = ("task_id", "steps", "source_docs", "doc_sequences")
 
-    def __init__(self, task_id: str, steps: list[Step], source_docs=None, doc_sequences=None):
+    def __init__(self, task_id: str, steps: list[Step], source_docs: list, doc_sequences: list):
         self.task_id, self.steps = task_id, steps
-        self.source_docs = [] if source_docs is None else source_docs
-        self.doc_sequences = [] if doc_sequences is None else doc_sequences
+        self.source_docs, self.doc_sequences = source_docs, doc_sequences
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -245,8 +244,8 @@ def build_step_library(
 
 class SequenceItem(NamedTuple):
     text: str
-    start: float | None = None
-    end: float | None = None
+    start: float | None
+    end: float | None
 
 
 class RawSequenceRecord(Record):
@@ -254,7 +253,7 @@ class RawSequenceRecord(Record):
 
     _fields = ("video_id", "task_id", "kind", "items", "title")
 
-    def __init__(self, video_id: str, task_id: str, kind: str, items: list, title=None):
+    def __init__(self, video_id: str, task_id: str, kind: str, items: list, title: str | None):
         self.video_id, self.task_id = video_id, task_id
         self.kind = kind  # "labelled" or "asr"
         self.items, self.title = items, title

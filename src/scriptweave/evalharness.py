@@ -28,10 +28,8 @@ from .record import Record
 class EvalExample(Record):
     _fields = ("prefix", "gold_next", "gold_completions")
 
-    def __init__(self, prefix: tuple[int, ...], gold_next=None, gold_completions=None):
-        self.prefix = prefix
-        self.gold_next = set() if gold_next is None else gold_next
-        self.gold_completions = set() if gold_completions is None else gold_completions
+    def __init__(self, prefix: tuple[int, ...], gold_next: set, gold_completions: set):
+        self.prefix, self.gold_next, self.gold_completions = prefix, gold_next, gold_completions
 
 
 class EvalSplit(Record):
@@ -63,7 +61,7 @@ def build_eval_splits(
         ids = seq.step_ids
         for cut in range(1, len(ids)):
             prefix = tuple(ids[:cut])
-            example = examples.setdefault(prefix, EvalExample(prefix))
+            example = examples.setdefault(prefix, EvalExample(prefix, set(), set()))
             example.gold_next.add(ids[cut])
             example.gold_completions.add(tuple(ids[cut:]))
     ordered = [examples[prefix] for prefix in sorted(examples)]

@@ -44,17 +44,16 @@ class GraphScript(Record):
 
     def __init__(
         self, task_id: str, nodes: list[int], edges: list[GraphEdge], num_paths: int,
-        relations: list[Relation] | None = None, labels: dict[int, str] | None = None,
+        relations: list[Relation], labels: dict[int, str],
     ):
         self.task_id, self.num_paths = task_id, num_paths
         self.nodes = nodes  # non-virtual step ids; START/END are implicit
         self.edges = edges
-        self.relations = [] if relations is None else relations
-        self.labels = {} if labels is None else labels
+        self.relations, self.labels = relations, labels
 
 
 def induce_graph(
-    paths: Sequence[Sequence[int]], prune_threshold: float, task_id: str, library: StepLibrary
+    paths: Sequence[Sequence[int]], prune_threshold: float, library: StepLibrary
 ) -> GraphScript:
     """Accumulate paths into a pruned step graph.
 
@@ -93,7 +92,7 @@ def induce_graph(
         if src in virtual_ok and dst in virtual_ok
     ]
     labels = {node: library.steps[node].normalized_text for node in sorted(kept_nodes)}
-    return GraphScript(task_id, sorted(kept_nodes), edges, num_paths, labels=labels)
+    return GraphScript(library.task_id, sorted(kept_nodes), edges, num_paths, [], labels)
 
 
 def _reachable(edges, origin: int, reverse: bool) -> set[int]:

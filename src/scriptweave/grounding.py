@@ -32,7 +32,7 @@ class GroundedSequence(Record):
 
     _fields = ("video_id", "task_id", "step_ids", "scores", "dropped")
 
-    def __init__(self, video_id: str, task_id: str, step_ids: list[int], scores: list, dropped=0):
+    def __init__(self, video_id: str, task_id: str, step_ids: list[int], scores: list, dropped: int):
         self.video_id, self.task_id = video_id, task_id
         self.step_ids, self.scores, self.dropped = step_ids, scores, dropped
         if not self.step_ids:

@@ -33,14 +33,12 @@ Row = tuple[float, ...]
 
 
 class PathModel(Record):
-    _fields = ("library", "order", "smoothing_lambda", "counts", "totals")
+    _fields = ("library", "order", "smoothing_lambda", "counts")
 
-    def __init__(
-        self, library: StepLibrary, order: int, smoothing_lambda: float, counts: dict, totals: dict
-    ):
+    def __init__(self, library: StepLibrary, order: int, smoothing_lambda: float, counts: dict):
         self.library, self.order, self.smoothing_lambda = library, order, smoothing_lambda
         self.counts = counts  # context tuple -> Counter of next step ids (END included)
-        self.totals = totals  # context tuple -> sum of its counts
+        self.totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
         self._rows: dict = {}  # context -> (prob, logprob) rows, filled by rows()
 
     @property
@@ -73,8 +71,7 @@ def train_path_model(sequences, library: StepLibrary, cfg: PipelineConfig) -> Pa
             nxt = tokens[pos]
             for k in range(1, cfg.order + 1):
                 counts[tuple(tokens[pos - k : pos])][nxt] += 1
-    totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
-    return PathModel(library, cfg.order, cfg.smoothing_lambda, dict(counts), totals)
+    return PathModel(library, cfg.order, cfg.smoothing_lambda, dict(counts))
 
 
 def next_step_distribution(model: PathModel, prefix: Sequence[int]) -> dict[int, float]:
@@ -176,8 +173,7 @@ def model_from_json(data: dict, library: StepLibrary) -> PathModel:
                 raise ValueError(f"negative count {value} in context {list(ctx)}")
             counter[END if key == "END" else int(key)] = value
         counts[ctx] = counter
-    totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
-    return PathModel(library, order, lam, counts, totals)
+    return PathModel(library, order, lam, counts)
 
 
 def _step_key(key: str) -> int:

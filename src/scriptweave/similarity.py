@@ -61,21 +61,19 @@ class TfidfSimilarity:
     tokenised and weighted once, and its L2 norm and unit vector are kept.
     Scores come in rows. Every second text similarity() has been asked
     about is a column, kept in an inverted index (token -> column texts and
-    their weights). The first time a text is asked about as the first
-    argument, its score against every known column is filled in one pass
-    over that index; a column that arrives later is scored for that row
-    alone. So a repeated pair, or any pair of a filled row, is a dictionary
+    their weights). When the first text's row lacks the second, the whole
+    row is filled again against every known column in one pass over that
+    index; so a repeated pair, or any pair of a filled row, is a dictionary
     lookup. Scores use the same float operations as uncached scoring (each
     shared token's product, summed by fsum), so every score is
     bit-identical to it in any call order.
 
-    A row costs one score per column, so it pays only when the first texts
-    are scored against most columns. Each stage's columns are few: the
-    task name in library, the step texts and the task name in ground (so a
-    row never exceeds V + 1 scores), none in losses, which only embeds. A
-    caller that scored many disjoint pairs would fill rows it never reads.
-    Grounding still asks for one pair per call, so the benchmark's count of
-    similarity() calls stays a count of pairs asked for (ROADMAP item 4).
+    A row costs one score per column, so it pays only when each stage's
+    columns are few and arrive early: the task name in library, the step
+    texts and the task name in ground (a row never exceeds V + 1 scores),
+    none in losses, which only embeds. Grounding asks for one pair per
+    call, so the benchmark's count of similarity() calls stays a count of
+    pairs asked for (ROADMAP item 4).
 
     Vectors returned by embed() are shared and read-only. A provider serves
     one CLI stage, so the memo needs no bound.
@@ -117,20 +115,16 @@ class TfidfSimilarity:
             self._columns[b] = None
             for token, weight in weights.items():
                 self._index.setdefault(token, []).append((b, weight))
-        if row is None:
-            row = self._rows[a] = self._score_row(a, self._index, self._columns)
-        else:  # b became a column after a's row was filled: an index of b alone
-            weights, _ = self._weighted[b]
-            row.update(self._score_row(a, {t: [(b, w)] for t, w in weights.items()}, [b]))
+        row = self._rows[a] = self._score_row(a)
         return row[b]
 
-    def _score_row(self, a: str, index, columns) -> dict[str, float]:
-        """a's scores against columns, whose weights index holds: token -> [(column, weight)]."""
+    def _score_row(self, a: str) -> dict[str, float]:
+        """a's scores against every column in the index."""
         wa, norm_a = self._weighted.get(a) or self._memo_weights(a)
-        row = dict.fromkeys(columns, 0.0)  # an empty text, or no shared token, scores 0.0
+        row = dict.fromkeys(self._columns, 0.0)  # an empty text, or no shared token, scores 0.0
         products: dict[str, list[float]] = {}
         for token, weight in wa.items():
-            for column, column_weight in index.get(token, ()):
+            for column, column_weight in self._index.get(token, ()):
                 products.setdefault(column, []).append(weight * column_weight)
         weighted, n_a, fsum = self._weighted, len(wa), math.fsum
         for column, shared in products.items():

@@ -32,7 +32,6 @@ from scriptweave.cli import (
     run_command,
 )
 from scriptweave.contrastive import (
-    ContrastiveBatch,
     curriculum_mixture,
     draw_negative_method,
     generate_negative,
@@ -66,11 +65,11 @@ from scriptweave.pathmodel import (
 
 
 def make_library(n_steps, task_id="t"):
-    return StepLibrary(task_id, [Step(i, f"tok{i}", f"tok{i}") for i in range(n_steps)])
+    return StepLibrary(task_id, [Step(i, f"tok{i}", f"tok{i}") for i in range(n_steps)], [], [])
 
 
 def grounded(video_id, step_ids, task_id="t"):
-    return GroundedSequence(video_id, task_id, list(step_ids), [1.0] * len(step_ids))
+    return GroundedSequence(video_id, task_id, list(step_ids), [1.0] * len(step_ids), 0)
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +84,7 @@ def test_criterion_01_planted_graph_recovered_exactly():
     started = time.perf_counter()
 
     texts = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
-    library = StepLibrary("plant", [Step(i, t, t) for i, t in enumerate(texts)])
+    library = StepLibrary("plant", [Step(i, t, t) for i, t in enumerate(texts)], [], [])
     # step 1 is optional between 0 and 2; steps 3 and 4 are interchangeable
     valid_paths = [
         [0, 1, 2, 3, 4, 5],
@@ -107,7 +106,6 @@ def test_criterion_01_planted_graph_recovered_exactly():
         induce_graph(
             [steps for steps, _ in decoded],
             prune_threshold=0.175,
-            task_id="plant",
             library=library,
         )
     )
@@ -174,11 +172,9 @@ def test_criterion_02_contrastive_loss_matches_direct_formula():
         nll = rng.uniform(0.0, 5.0)
         alpha = rng.choice([0.5, 1.0, 2.0])
 
-        batch = ContrastiveBatch(
-            np.array(z_g), np.array(z_p), [np.array(z) for z in negatives]
-        )
-        contrastive, cross_entropy, total = path_level_losses(
-            batch, nll, PipelineConfig(temperature=temperature, alpha=alpha)
+        contrastive, total = path_level_losses(
+            np.array(z_g), np.array(z_p), [np.array(z) for z in negatives],
+            nll, PipelineConfig(temperature=temperature, alpha=alpha),
         )
 
         sims = [naive_cosine(z_g, z_p)] + [naive_cosine(z_g, z_n) for z_n in negatives]
@@ -186,12 +182,13 @@ def test_criterion_02_contrastive_loss_matches_direct_formula():
         expected = -math.log(exps[0] / sum(exps))
 
         assert abs(contrastive - expected) <= 1e-9
-        assert cross_entropy == nll
         assert abs(total - (nll + alpha * contrastive)) <= 1e-9
 
     # aligned positive, orthogonal negative: loss is exactly log(1 + e^-10)
-    batch = ContrastiveBatch(np.array([1.0, 0.0]), np.array([2.0, 0.0]), [np.array([0.0, 3.0])])
-    contrastive, _, _ = path_level_losses(batch, 0.0, PipelineConfig(temperature=0.1))
+    contrastive, _ = path_level_losses(
+        np.array([1.0, 0.0]), np.array([2.0, 0.0]), [np.array([0.0, 3.0])],
+        0.0, PipelineConfig(temperature=0.1),
+    )
     assert abs(contrastive - math.log(1.0 + math.exp(-10.0))) <= 1e-12
 
 
@@ -368,8 +365,10 @@ def labelled_world(matrix):
     n_rows, n_columns = len(matrix), len(matrix[0])
     row_texts = [f"annotation {i}" for i in range(n_rows)]
     column_texts = [f"candidate {j}" for j in range(n_columns)]
-    library = StepLibrary("t", [Step(j, t, t) for j, t in enumerate(column_texts)])
-    record = RawSequenceRecord("v", "t", "labelled", [SequenceItem(t) for t in row_texts])
+    library = StepLibrary("t", [Step(j, t, t) for j, t in enumerate(column_texts)], [], [])
+    record = RawSequenceRecord(
+        "v", "t", "labelled", [SequenceItem(t, None, None) for t in row_texts], None
+    )
     provider = MatrixProvider(matrix, row_texts, column_texts)
     return record, library, provider
 
@@ -458,9 +457,9 @@ def test_criterion_06_greedy_matching_matches_bruteforce_and_thresholds_monotone
         piece_texts = [f"piece {i}" for i in range(n_pieces)]
         column_texts = [f"candidate {j}" for j in range(n_columns)]
         matrix = [[rng.uniform(0.0, 1.0) for _ in range(n_columns)] for _ in range(n_pieces)]
-        library = StepLibrary("t", [Step(j, t, t) for j, t in enumerate(column_texts)])
+        library = StepLibrary("t", [Step(j, t, t) for j, t in enumerate(column_texts)], [], [])
         record = RawSequenceRecord(
-            "v", "t", "asr", [SequenceItem(t) for t in piece_texts], title="anything"
+            "v", "t", "asr", [SequenceItem(t, None, None) for t in piece_texts], title="anything"
         )
         provider = MatrixProvider(matrix, piece_texts, column_texts)
 
@@ -589,7 +588,7 @@ def test_criterion_09_model_beats_linear_beats_random():
     ]
     linear_doc = [0, 1, 2, 3, 4, 5, 6, 7]
     library = StepLibrary(
-        "w", [Step(i, f"s{i}", f"s{i}") for i in range(8)], doc_sequences=[linear_doc]
+        "w", [Step(i, f"s{i}", f"s{i}") for i in range(8)], [], doc_sequences=[linear_doc]
     )
 
     def world(seed):

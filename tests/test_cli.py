@@ -398,6 +398,7 @@ OUT_OF_RANGE = [
     ("k1", "1.01", "k1 must be in [0, 1], got 1.01"),
     ("k2", "-1", "k2 must be in [0, 1], got -1.0"),
     ("k3", "2", "k3 must be in [0, 1], got 2.0"),
+    ("prune_threshold", "-1", "prune_threshold must be in [0, 1], got -1.0"),
     ("top_m_docs", "0", "top_m_docs must be at least 1"),
     ("asr_min_words", "0", "asr_min_words must be at least 1"),
     ("order", "0", "order must be at least 1"),
@@ -407,6 +408,7 @@ OUT_OF_RANGE = [
     ("num_negatives", "-1", "num_negatives must be non-negative"),
     ("alpha", "-1.0", "alpha must be non-negative"),
     ("epoch", "-1", "epoch must be non-negative"),
+    ("frequency_threshold", "-3", "frequency_threshold must be non-negative"),
     ("max_steps", "-1", "max_steps must be non-negative"),
     ("temperature", "0", "temperature must be positive"),
     ("embedding_timeout", "-2.5", "embedding_timeout must be positive"),
@@ -421,6 +423,7 @@ IN_RANGE = [
     ("max_shuffle_attempts", 1), ("smoothing_lambda", 0.0), ("num_negatives", 0), ("alpha", 0.0),
     ("epoch", 0), ("max_steps", 0), ("max_steps", None), ("temperature", 1e-9),
     ("embedding_timeout", 1e-9), ("train_fraction", 1e-9), ("train_fraction", 0.999),
+    ("prune_threshold", 1.0), ("frequency_threshold", 0),
 ]
 
 
@@ -509,6 +512,20 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BadConfig"
         assert "seed" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, key, kind",
+        [
+            (["stats", "--seed", "abc"], "seed", "an integer"),
+            (["losses", "--seed", "7", "--epoch", "abc"], "epoch", "an integer"),
+            (["eval", "--seed", "7", "--split", "abc"], "train_fraction", "a number"),
+        ],
+    )
+    def test_wrongly_typed_flag_reports_bad_config(self, tmp_path, capsys, argv, key, kind):
+        code = run_command(argv + ["--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadConfig", "message": f"setting {key!r} must be {kind}, got 'abc'"}
 
     def test_missing_artifact_reports_cleanly(self, tmp_path, capsys):
         code = run_command(["train", "--seed", "1", "--out-dir", str(tmp_path)])

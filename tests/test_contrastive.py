@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.contrastive import (
-    ContrastiveBatch,
     MixtureWeights,
     curriculum_mixture,
     draw_negative_method,
@@ -27,7 +26,7 @@ ATTEMPTS = PipelineConfig().max_shuffle_attempts
 
 
 def make_library(n):
-    return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n)])
+    return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n)], [], [])
 
 
 class TestCurriculum:
@@ -256,20 +255,19 @@ def naive_contrastive(z_g, z_p, z_negs, temperature):
 
 class TestPathLevelLosses:
     def test_no_negatives_is_exactly_zero(self):
-        batch = ContrastiveBatch(np.array([1.0, 2.0]), np.array([2.0, 1.0]), [])
-        contrastive, ce, total = path_level_losses(batch, nll=3.5, cfg=PipelineConfig())
+        contrastive, total = path_level_losses(
+            np.array([1.0, 2.0]), np.array([2.0, 1.0]), [], nll=3.5, cfg=PipelineConfig()
+        )
         assert contrastive == 0.0
-        assert ce == 3.5
         assert total == 3.5
 
     def test_orthogonal_negative_worked_value(self):
         # aligned positive and orthogonal negative at temperature 0.1:
         # softmax(10, 0) gives loss log(1 + e^-10)
-        batch = ContrastiveBatch(
-            np.array([1.0, 0.0]), np.array([1.0, 0.0]), [np.array([0.0, 1.0])]
-        )
         cfg = PipelineConfig(temperature=0.1, alpha=1.0)
-        contrastive, _, total = path_level_losses(batch, nll=0.0, cfg=cfg)
+        contrastive, total = path_level_losses(
+            np.array([1.0, 0.0]), np.array([1.0, 0.0]), [np.array([0.0, 1.0])], nll=0.0, cfg=cfg
+        )
         assert contrastive == pytest.approx(math.log(1 + math.exp(-10)), abs=1e-15)
         assert contrastive == pytest.approx(4.54e-5, rel=1e-2)
         assert total == contrastive
@@ -284,30 +282,25 @@ class TestPathLevelLosses:
             z_negs = [rng.normal(size=dim) for _ in range(m)]
             cfg = PipelineConfig(temperature=0.1, alpha=0.7)
             nll = float(rng.uniform(0, 5))
-            contrastive, ce, total = path_level_losses(
-                ContrastiveBatch(z_g, z_p, z_negs), nll, cfg
-            )
+            contrastive, total = path_level_losses(z_g, z_p, z_negs, nll, cfg)
             assert contrastive == pytest.approx(
                 naive_contrastive(z_g, z_p, z_negs, 0.1), abs=1e-9
             )
-            assert ce == nll
             assert total == pytest.approx(nll + 0.7 * contrastive, abs=1e-12)
 
     def test_alpha_scales_only_the_contrastive_part(self):
-        batch = ContrastiveBatch(
-            np.array([1.0, 0.0]), np.array([0.5, 0.5]), [np.array([0.0, 1.0])]
-        )
-        c1, _, t1 = path_level_losses(batch, 2.0, PipelineConfig(temperature=0.1, alpha=1.0))
-        c2, _, t2 = path_level_losses(batch, 2.0, PipelineConfig(temperature=0.1, alpha=3.0))
+        embeddings = np.array([1.0, 0.0]), np.array([0.5, 0.5]), [np.array([0.0, 1.0])]
+        c1, t1 = path_level_losses(*embeddings, 2.0, PipelineConfig(temperature=0.1, alpha=1.0))
+        c2, t2 = path_level_losses(*embeddings, 2.0, PipelineConfig(temperature=0.1, alpha=3.0))
         assert c1 == c2
         assert t2 - 2.0 == pytest.approx(3 * (t1 - 2.0), abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        batch = ContrastiveBatch(np.zeros(2), np.array([1.0, 0.0]), [])
         with pytest.raises(ZeroVector):
-            path_level_losses(batch, 0.0, PipelineConfig())
+            path_level_losses(np.zeros(2), np.array([1.0, 0.0]), [], 0.0, PipelineConfig())
 
     def test_shape_mismatch_rejected(self):
-        batch = ContrastiveBatch(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]), [])
         with pytest.raises(ValueError):
-            path_level_losses(batch, 0.0, PipelineConfig())
+            path_level_losses(
+                np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]), [], 0.0, PipelineConfig()
+            )

@@ -335,7 +335,7 @@ class TestLibraryValidate:
 
 
 def _seq(video_id, ids):
-    return GroundedSequence(video_id, "t", list(ids), [1.0] * len(ids))
+    return GroundedSequence(video_id, "t", list(ids), [1.0] * len(ids), 0)
 
 
 def brute_force_statistics(sequences, threshold):
@@ -418,26 +418,28 @@ class TestCorpusStatistics:
 
 class TestRecordValidation:
     def test_rejects_unknown_kind(self):
-        record = RawSequenceRecord("v", "t", "weird", [SequenceItem("a")])
+        record = RawSequenceRecord("v", "t", "weird", [SequenceItem("a", None, None)], None)
         with pytest.raises(ValueError):
             record.validate()
 
     def test_rejects_empty_items(self):
         with pytest.raises(ValueError):
-            RawSequenceRecord("v", "t", "labelled", []).validate()
+            RawSequenceRecord("v", "t", "labelled", [], None).validate()
 
     def test_rejects_decreasing_timestamps(self):
         items = [SequenceItem("a", 5.0, 6.0), SequenceItem("b", 1.0, 2.0)]
         with pytest.raises(ValueError):
-            RawSequenceRecord("v", "t", "labelled", items).validate()
+            RawSequenceRecord("v", "t", "labelled", items, None).validate()
 
     def test_rejects_end_before_start(self):
         items = [SequenceItem("a", 5.0, 1.0)]
         with pytest.raises(ValueError):
-            RawSequenceRecord("v", "t", "labelled", items).validate()
+            RawSequenceRecord("v", "t", "labelled", items, None).validate()
 
     def test_accepts_missing_timestamps(self):
-        RawSequenceRecord("v", "t", "asr", [SequenceItem("a"), SequenceItem("b")]).validate()
+        RawSequenceRecord(
+            "v", "t", "asr", [SequenceItem("a", None, None), SequenceItem("b", None, None)], None
+        ).validate()
 
 
 class TestFileFormats:

@@ -23,7 +23,7 @@ class Seq:
 
 
 def make_library(texts, task_id="t1"):
-    return StepLibrary(task_id, [Step(i, t, t) for i, t in enumerate(texts)])
+    return StepLibrary(task_id, [Step(i, t, t) for i, t in enumerate(texts)], [], [])
 
 
 class TestPrefixTrie:
@@ -33,7 +33,7 @@ class TestPrefixTrie:
 
     def test_empty_library_rejected(self):
         with pytest.raises(EmptyLibrary):
-            build_prefix_trie(StepLibrary("t1", []))
+            build_prefix_trie(StepLibrary("t1", [], [], []))
 
 
 class TestBeamSearch:

@@ -25,17 +25,17 @@ from scriptweave.pathmodel import train_path_model
 
 
 def make_library(n):
-    return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n)])
+    return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n)], [], [])
 
 
 def with_docs(library, *docs):
     """library with the given document step orders, read by the linear baseline."""
-    return StepLibrary(library.task_id, library.steps, doc_sequences=list(docs))
+    return StepLibrary(library.task_id, library.steps, [], list(docs))
 
 
 def seqs(*paths):
     return [
-        GroundedSequence(f"v{i}", "t1", list(p), [1.0] * len(p)) for i, p in enumerate(paths)
+        GroundedSequence(f"v{i}", "t1", list(p), [1.0] * len(p), 0) for i, p in enumerate(paths)
     ]
 
 

@@ -17,13 +17,13 @@ from scriptweave.pathmodel import END, START
 
 
 def make_library(texts):
-    return StepLibrary("t1", [Step(i, t, t) for i, t in enumerate(texts)])
+    return StepLibrary("t1", [Step(i, t, t) for i, t in enumerate(texts)], [], [])
 
 
 def induce(paths):
     """induce_graph at prune_threshold 0.175, each step i labelled "step i"."""
     size = max((step for path in paths for step in path), default=-1) + 1
-    return induce_graph(paths, 0.175, "t1", make_library([f"step {i}" for i in range(size)]))
+    return induce_graph(paths, 0.175, make_library([f"step {i}" for i in range(size)]))
 
 
 def edge_map(graph):
@@ -81,7 +81,7 @@ class TestInduceGraph:
 
     def test_labels_come_from_library(self):
         library = make_library(["boil water", "serve"])
-        graph = induce_graph([[0, 1]], 0.175, "t1", library)
+        graph = induce_graph([[0, 1]], 0.175, library)
         assert graph.labels == {0: "boil water", 1: "serve"}
         assert graph.task_id == "t1"
 
@@ -133,7 +133,7 @@ class TestDotExport:
     def test_exact_rendering_with_optional_skip(self):
         library = make_library(["boil water", "add salt", "serve"])
         graph = classify_relations(
-            induce_graph([[0, 1, 2], [0, 2]], 0.175, "t1", library)
+            induce_graph([[0, 1, 2], [0, 2]], 0.175, library)
         )
         assert export_graph(graph) == (
             "digraph script {\n"
@@ -160,7 +160,7 @@ class TestDotExport:
 
     def test_quotes_and_backslashes_escaped(self):
         library = make_library(['say "hi"'])
-        graph = induce_graph([[0]], 0.175, "t1", library)
+        graph = induce_graph([[0]], 0.175, library)
         dot = export_graph(graph)
         assert '"say \\"hi\\"" [shape=box];' in dot
 
@@ -169,7 +169,7 @@ class TestJsonExport:
     def make_graph(self):
         library = make_library(["a", "b", "c"])
         return classify_relations(
-            induce_graph([[0, 1, 2], [0, 2]], 0.175, "t9", library)
+            induce_graph([[0, 1, 2], [0, 2]], 0.175, library)
         )
 
     def test_virtual_nodes_serialized_by_name(self):

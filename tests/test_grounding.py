@@ -43,18 +43,19 @@ class StubProvider:
 
 def make_library(texts, task_id="t1"):
     steps = [Step(i, text, text) for i, text in enumerate(texts)]
-    return StepLibrary(task_id, steps)
+    return StepLibrary(task_id, steps, [], [])
 
 
 def labelled_record(texts, video_id="v1", task_id="t1"):
     return RawSequenceRecord(
-        video_id, task_id, "labelled", [SequenceItem(t, float(i), float(i) + 1) for i, t in enumerate(texts)]
+        video_id, task_id, "labelled",
+        [SequenceItem(t, float(i), float(i) + 1) for i, t in enumerate(texts)], None,
     )
 
 
 def asr_record(texts, video_id="v1", task_id="t1", title="a title"):
     return RawSequenceRecord(
-        video_id, task_id, "asr", [SequenceItem(t) for t in texts], title=title
+        video_id, task_id, "asr", [SequenceItem(t, None, None) for t in texts], title=title
     )
 
 
@@ -374,7 +375,7 @@ class TestPruneUnusedSteps:
         library.doc_sequences = [[0, 1, 2, 3], [3, 1]]
         sequences = [
             GroundedSequence("v1", "t1", [1, 3], [0.9, 0.8], dropped=1),
-            GroundedSequence("v2", "t1", [3], [0.7]),
+            GroundedSequence("v2", "t1", [3], [0.7], 0),
         ]
         new_library, new_sequences = prune_unused_steps(library, sequences)
         assert [s.step_id for s in new_library.steps] == [0, 1]
@@ -387,7 +388,7 @@ class TestPruneUnusedSteps:
 
     def test_no_unused_steps_is_identity_on_ids(self):
         library = make_library(["a", "b"])
-        sequences = [GroundedSequence("v1", "t1", [0, 1], [0.5, 0.5])]
+        sequences = [GroundedSequence("v1", "t1", [0, 1], [0.5, 0.5], 0)]
         new_library, new_sequences = prune_unused_steps(library, sequences)
         assert [s.step_id for s in new_library.steps] == [0, 1]
         assert new_sequences[0].step_ids == [0, 1]
@@ -396,22 +397,22 @@ class TestPruneUnusedSteps:
 class TestGroundedSequenceValidation:
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequence):
-            GroundedSequence("v1", "t1", [], [])
+            GroundedSequence("v1", "t1", [], [], 0)
 
     def test_repeated_ids_rejected(self):
         with pytest.raises(ValueError):
-            GroundedSequence("v1", "t1", [0, 0], [0.5, 0.5])
+            GroundedSequence("v1", "t1", [0, 0], [0.5, 0.5], 0)
 
     def test_misaligned_scores_rejected(self):
         with pytest.raises(ValueError):
-            GroundedSequence("v1", "t1", [0, 1], [0.5])
+            GroundedSequence("v1", "t1", [0, 1], [0.5], 0)
 
 
 class TestGroundedJson:
     def test_roundtrip(self, tmp_path):
         sequences = [
             GroundedSequence("v1", "t1", [0, 2], [0.9, 0.4], dropped=2),
-            GroundedSequence("v2", "t1", [1], [0.5]),
+            GroundedSequence("v2", "t1", [1], [0.5], 0),
         ]
         path = tmp_path / "grounded.jsonl"
         save_grounded(sequences, path)

@@ -27,7 +27,7 @@ class Seq:
 
 
 def make_library(n, task_id="t1"):
-    return StepLibrary(task_id, [Step(i, f"step {i}", f"step {i}") for i in range(n)])
+    return StepLibrary(task_id, [Step(i, f"step {i}", f"step {i}") for i in range(n)], [], [])
 
 
 def train(paths, n_steps, order=2, lam=0.1):

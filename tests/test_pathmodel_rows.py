@@ -34,7 +34,7 @@ class Seq:
 
 
 def make_library(n_steps):
-    return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n_steps)])
+    return StepLibrary("t1", [Step(i, f"step {i}", f"step {i}") for i in range(n_steps)], [], [])
 
 
 # -- scalar reference --------------------------------------------------------
@@ -176,7 +176,7 @@ def test_greedy_completion_and_ranking_match_reference(case, max_steps):
         assert greedy_completion(model, prefix, max_steps) == ref_greedy_completion(
             model, prefix, max_steps
         )
-    split = EvalSplit([], [EvalExample(tuple(prefix)) for prefix in prefixes])
+    split = EvalSplit([], [EvalExample(tuple(prefix), set(), set()) for prefix in prefixes])
     assert model_predict_next(model, split) == ref_model_predict_next(model, split)
 
 
@@ -220,9 +220,8 @@ def test_log_rows_are_math_log_over_a_sweep_of_counts():
             (ctx,): Counter({nxt: rng.randrange(12) for nxt in [*range(n_steps), END]})
             for ctx in [START, *range(n_steps)]
         }
-        totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
         for lam in (0.0, 0.01, 0.1, 1.0):
-            model = PathModel(library, 1, lam, counts, totals)
+            model = PathModel(library, 1, lam, counts)
             for prefix in [[], *([s] for s in range(n_steps))]:
                 expected = ref_next_step_distribution(model, prefix).values()
                 prob, logprob = model.rows(prefix)

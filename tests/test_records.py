@@ -12,7 +12,6 @@ import pytest
 
 import scriptweave
 from scriptweave.cli import SETTINGS, PipelineConfig
-from scriptweave.contrastive import ContrastiveBatch
 from scriptweave.corpus import (
     CorpusStats,
     RawSequenceRecord,
@@ -45,16 +44,15 @@ def make_sequences():
     ]
 
 
-# Each class with the fewest arguments its constructor takes.
+# Each class built with its fields as empty as it allows.
 DEFAULT_BUILT = [
-    lambda: StepLibrary("t", []),
-    lambda: RawSequenceRecord("v", "t", "labelled", []),
-    lambda: GroundedSequence("v", "t", [0], [1.0]),
-    lambda: PathModel(make_library(), 2, 0.1, {}, {}),
-    lambda: ContrastiveBatch((1.0,), (1.0,)),
-    lambda: EvalExample((0,)),
+    lambda: StepLibrary("t", [], [], []),
+    lambda: RawSequenceRecord("v", "t", "labelled", [], None),
+    lambda: GroundedSequence("v", "t", [0], [1.0], 0),
+    lambda: PathModel(make_library(), 2, 0.1, {}),
+    lambda: EvalExample((0,), set(), set()),
     lambda: EvalSplit([], []),
-    lambda: GraphScript("t", [], [], 0),
+    lambda: GraphScript("t", [], [], 0, [], {}),
     lambda: PipelineConfig(),
 ]
 
@@ -84,10 +82,9 @@ class TestValueRecords:
         assert type(value)(*fields) == value
         assert hash(type(value)(*fields)) == hash(value)
 
-    def test_defaults(self):
-        assert SequenceItem("x") == ("x", None, None)
-
     def test_missing_arguments_raise_type_error(self):
+        with pytest.raises(TypeError):
+            SequenceItem("x")
         with pytest.raises(TypeError):
             TaskSpec("t")
         with pytest.raises(TypeError):
@@ -99,11 +96,11 @@ class TestValueRecords:
 class TestMutableRecords:
     def test_equality_is_by_class_and_fields(self):
         assert make_library() == make_library()
-        assert make_library() != StepLibrary("demo", make_library().steps)
+        assert make_library() != StepLibrary("demo", make_library().steps, [], [])
         assert EvalSplit([], []) == EvalSplit(train=[], test_examples=[])
-        assert EvalSplit([], []) != EvalSplit([], [EvalExample((0,))])
-        assert EvalSplit([], []) != GraphScript("t", [], [], 0)
-        assert EvalExample((0,)) != (0,)
+        assert EvalSplit([], []) != EvalSplit([], [EvalExample((0,), set(), set())])
+        assert EvalSplit([], []) != GraphScript("t", [], [], 0, [], {})
+        assert EvalExample((0,), set(), set()) != (0,)
 
     @pytest.mark.parametrize("build", DEFAULT_BUILT, ids=lambda b: type(b()).__name__)
     def test_unhashable_like_a_dataclass(self, build):
@@ -112,7 +109,7 @@ class TestMutableRecords:
 
     def test_repr_names_the_fields(self):
         assert repr(EvalSplit([], [])) == "EvalSplit(train=[], test_examples=[])"
-        assert repr(EvalExample((0,))) == (
+        assert repr(EvalExample((0,), set(), set())) == (
             "EvalExample(prefix=(0,), gold_next=set(), gold_completions=set())"
         )
 
@@ -140,37 +137,53 @@ class TestMutableRecords:
             if isinstance(value, (list, dict, set)):
                 assert value is not getattr(second, name), name
 
-    def test_mutable_defaults_are_empty(self):
-        library = StepLibrary("t", [])
-        assert library.source_docs == [] and library.doc_sequences == []
-        assert ContrastiveBatch((1.0,), (1.0,)).z_negatives == []
-        example = EvalExample((0,))
-        assert example.gold_next == set() and example.gold_completions == set()
-        graph = GraphScript("t", [], [], 0)
-        assert graph.relations == [] and graph.labels == {}
-        assert RawSequenceRecord("v", "t", "asr", []).title is None
-        assert GroundedSequence("v", "t", [0], [1.0]).dropped == 0
+    def test_model_sums_its_own_totals(self):
+        model = PathModel(make_library(), 2, 0.1, {(-1, -1): {0: 2, 1: 3}, (0,): {}})
+        assert model.totals == {(-1, -1): 5, (0,): 0}
 
 
 class TestConstructorErrors:
     @pytest.mark.parametrize(
         "build, error",
         [
-            (lambda: GroundedSequence("v", "t", [], []), EmptySequence),
-            (lambda: GroundedSequence("v", "t", [0, 0], [1.0, 1.0]), ValueError),
-            (lambda: GroundedSequence("v", "t", [0], [1.0, 1.0]), ValueError),
+            (lambda: GroundedSequence("v", "t", [], [], 0), EmptySequence),
+            (lambda: GroundedSequence("v", "t", [0, 0], [1.0, 1.0], 0), ValueError),
+            (lambda: GroundedSequence("v", "t", [0], [1.0, 1.0], 0), ValueError),
             (lambda: PipelineConfig(k1=2.0), BadConfig),
             (lambda: PipelineConfig(train_fraction=1.0), BadConfig),
             (lambda: PipelineConfig(bogus=1), TypeError),
             (lambda: PipelineConfig("a", tasks_path="b"), TypeError),
             (lambda: PipelineConfig(*[None] * 30), TypeError),
             (lambda: StepLibrary("t"), TypeError),
+            (lambda: StepLibrary("t", []), TypeError),
             (lambda: GraphScript("t", [], []), TypeError),
+            (lambda: GraphScript("t", [], [], 0), TypeError),
+            (lambda: GroundedSequence("v", "t", [0], [1.0]), TypeError),
+            (lambda: RawSequenceRecord("v", "t", "asr", [SequenceItem("x", None, None)]), TypeError),
+            (lambda: EvalExample((0,)), TypeError),
+            (lambda: PathModel(make_library(), 2, 0.1, {}, {}), TypeError),
         ],
     )
     def test_raises(self, build, error):
         with pytest.raises(error):
             build()
+
+    def test_record_constructors_have_no_defaults(self):
+        """No class in the package gives an __init__ parameter or a NamedTuple field
+        a default. PipelineConfig(**settings) gives none: its defaults live in SETTINGS."""
+        stray = []
+        for path in sorted(Path(scriptweave.__file__).parent.glob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                named_tuple = any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                        if node.args.defaults or any(node.args.kw_defaults):
+                            stray.append(f"{path.name}:{node.lineno}: {cls.name}.__init__")
+                    elif named_tuple and isinstance(node, ast.AnnAssign) and node.value:
+                        stray.append(f"{path.name}:{node.lineno}: {cls.name}.{node.target.id}")
+        assert stray == []
 
 
 class TestPipelineConfig:

@@ -323,17 +323,17 @@ class TestTfidfMemo:
             provider.similarity("squeeze the lemons", column)
         filled = []
         score_row = provider._score_row
-        monkeypatch.setattr(provider, "_score_row", lambda a, index, of: (
-            filled.append((a, list(of))) or score_row(a, index, of)))
+        monkeypatch.setattr(provider, "_score_row", lambda a: (
+            filled.append((a, list(provider._columns))) or score_row(a)))
         # Once the columns are known, a new first text is one row fill; a repeat costs nothing.
         for a in ["add the sugar", "cold water"] * 3:
             for b in columns:
                 provider.similarity(a, b)
         assert filled == [("add the sugar", columns), ("cold water", columns)]
-        # A column that arrives after a row was filled is scored for that row alone.
+        # A column that arrives after a row was filled fills that row again, over every column.
         provider.similarity("cold water", "cold pitcher")
         provider.similarity("cold water", "cold pitcher")
-        assert filled[2:] == [("cold water", ["cold pitcher"])]
+        assert filled[2:] == [("cold water", columns + ["cold pitcher"])]
 
     def test_embedded_vectors_are_read_only(self):
         provider = TfidfSimilarity(CORPUS)
