@@ -41,7 +41,7 @@ from .contrastive import (
     path_level_losses,
     sequence_representation,
 )
-from .corpus import corpus_statistics, load_candidate_docs, load_raw_records, load_tasks
+from .corpus import corpus_statistics, is_finite, load_candidate_docs, load_raw_records, load_tasks
 from .decoder import (
     build_prefix_trie,
     constrained_beam_search,
@@ -184,6 +184,8 @@ def _coerce(key: str, value):
         valid = isinstance(value, kind) and not isinstance(value, bool)
     if not valid:
         raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {value!r}")
+    if kind is float and not is_finite(value):
+        raise BadConfig(f"setting {key!r} must be a finite number, got {value!r}")
     return kind(value) if kind in (float, tuple) else value
 
 
@@ -389,9 +391,8 @@ def cmd_losses(cfg: PipelineConfig) -> int:
         "alpha": cfg.alpha,
         "temperature": cfg.temperature,
         "sequences": rows,
-        "mean_nll": math.fsum(r["nll"] for r in rows) / n if n else 0.0,
-        "mean_contrastive": math.fsum(r["contrastive"] for r in rows) / n if n else 0.0,
-        "mean_total": math.fsum(r["total"] for r in rows) / n if n else 0.0,
+        **{f"mean_{key}": math.fsum(r[key] for r in rows) / n if n else 0.0
+           for key in ("nll", "contrastive", "total")},
     }
     path = _out_path(cfg, LOSSES_FILE)
     write_json(payload, path)
@@ -410,7 +411,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_graph(cfg: PipelineConfig, extra_out: str | None = None) -> int:
+def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> int:
     library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
     paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE))]
     graph = classify_relations(induce_graph(paths, cfg.prune_threshold, library))
@@ -433,19 +434,13 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     model = train_path_model(split.train, library, cfg)
 
     systems = {
-        "model": (
-            model_predict_next(model, split),
-            model_complete(model, split, cfg.max_steps),
-        ),
-        "linear": (
-            baseline_predict("linear", split, library, rng_seed=cfg.seed),
-            baseline_complete("linear", split, library, rng_seed=cfg.seed),
-        ),
-        "random": (
-            baseline_predict("random", split, library, rng_seed=cfg.seed),
-            baseline_complete("random", split, library, rng_seed=cfg.seed),
-        ),
+        "model": (model_predict_next(model, split), model_complete(model, split, cfg.max_steps)),
     }
+    for kind in ("linear", "random"):
+        systems[kind] = (
+            baseline_predict(kind, split, library, rng_seed=cfg.seed),
+            baseline_complete(kind, split, library, rng_seed=cfg.seed),
+        )
     results = {
         name: {
             "next_step": next_step_metrics(ranked, split),
@@ -472,66 +467,43 @@ def cmd_eval(cfg: PipelineConfig) -> int:
 # Argument parsing
 
 
+_COMMON_FLAGS = (  # (flag, setting, help) of the flags every stage takes before its own
+    ("--config", "config", "path to a 'key = value' settings file"),
+    ("--out-dir", "out_dir", "artifact directory (default: out)"),
+    ("--seed", "seed", "random seed (required)"),
+    ("--task", "task", "task id when the task file has several"),
+)
+_TASKS_FLAG = ("--tasks", "tasks_path", "task definitions (jsonl)")
+# Every stage: its function, its --help line and its own flags.
+_STAGES = {
+    "library": (cmd_library, "rank documents and build the step library",
+                (_TASKS_FLAG, ("--docs", "docs_path", "candidate documents (jsonl)"))),
+    "ground": (cmd_ground, "map video sequences onto library steps",
+               (_TASKS_FLAG, ("--corpus", "corpus_path", "video sequence records (jsonl)"))),
+    "stats": (cmd_stats, "ordering statistics over grounded sequences", ()),
+    "train": (cmd_train, "fit the path model on grounded sequences", ()),
+    "losses": (cmd_losses, "report path-level training losses for one epoch",
+               (("--epoch", "epoch", "epoch for the negative-mixture curriculum"),)),
+    "decode": (cmd_decode, "beam-search the most likely step paths", ()),
+    "graph": (cmd_graph, "induce the step graph from decoded paths",
+              (("--out", "extra_out", "also write the DOT export here"),)),
+    "eval": (cmd_eval, "next-step and completion metrics with baselines",
+             (("--split", "train_fraction",
+               f"train fraction (default {SETTINGS['train_fraction'][1]:.2f})"),)),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scriptweave",
         description="Induce step graphs for procedural tasks from video step sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="path to a 'key = value' settings file")
-        p.add_argument("--out-dir", dest="out_dir", help="artifact directory (default: out)")
-        p.add_argument("--seed", help="random seed (required)")
-        p.add_argument("--task", help="task id when the task file has several")
-
-    p = sub.add_parser("library", help="rank documents and build the step library")
-    common(p)
-    p.add_argument("--tasks", dest="tasks_path", help="task definitions (jsonl)")
-    p.add_argument("--docs", dest="docs_path", help="candidate documents (jsonl)")
-
-    p = sub.add_parser("ground", help="map video sequences onto library steps")
-    common(p)
-    p.add_argument("--tasks", dest="tasks_path", help="task definitions (jsonl)")
-    p.add_argument("--corpus", dest="corpus_path", help="video sequence records (jsonl)")
-
-    p = sub.add_parser("stats", help="ordering statistics over grounded sequences")
-    common(p)
-
-    p = sub.add_parser("train", help="fit the path model on grounded sequences")
-    common(p)
-
-    p = sub.add_parser("losses", help="report path-level training losses for one epoch")
-    common(p)
-    p.add_argument("--epoch", help="epoch for the negative-mixture curriculum")
-
-    p = sub.add_parser("decode", help="beam-search the most likely step paths")
-    common(p)
-
-    p = sub.add_parser("graph", help="induce the step graph from decoded paths")
-    common(p)
-    p.add_argument("--out", dest="extra_out", help="also write the DOT export here")
-
-    p = sub.add_parser("eval", help="next-step and completion metrics with baselines")
-    common(p)
-    p.add_argument(
-        "--split", dest="train_fraction",
-        help=f"train fraction (default {SETTINGS['train_fraction'][1]:.2f})",
-    )
-
+    for name, (_, help_text, flags) in _STAGES.items():
+        stage = sub.add_parser(name, help=help_text)
+        for flag, dest, flag_help in _COMMON_FLAGS + flags:
+            stage.add_argument(flag, dest=dest, help=flag_help)
     return parser
-
-
-_COMMANDS = {
-    "library": cmd_library,
-    "ground": cmd_ground,
-    "stats": cmd_stats,
-    "train": cmd_train,
-    "losses": cmd_losses,
-    "decode": cmd_decode,
-    "graph": cmd_graph,
-    "eval": cmd_eval,
-}
 
 
 def run_command(argv=None) -> int:
@@ -543,8 +515,8 @@ def run_command(argv=None) -> int:
         cfg = build_config(args)
         _require(cfg, "seed")
         if args.command == "graph":
-            return cmd_graph(cfg, extra_out=getattr(args, "extra_out", None))
-        return _COMMANDS[args.command](cfg)
+            return cmd_graph(cfg, args.extra_out)
+        return _STAGES[args.command][0](cfg)
     except (ScriptweaveError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)

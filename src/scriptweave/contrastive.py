@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .corpus import StepLibrary
 from .errors import DegenerateInput, EmptySequence
@@ -81,38 +81,33 @@ def generate_negative(
             raise DegenerateInput(
                 f"cannot resample {len(positive)} steps from a library of {len(ids)}"
             )
-        for _ in range(max_shuffle_attempts):
-            candidate = rng.sample(ids, len(positive))
-            if tuple(candidate) != target and tuple(candidate) not in valid_set:
-                return candidate
-        raise DegenerateInput("resampling kept producing valid sequences")
-
-    if method == "shuffle":
+        candidates = (rng.sample(ids, len(positive)) for _ in range(max_shuffle_attempts))
+    elif method == "shuffle":
         if len(positive) < 2:
             raise DegenerateInput("cannot shuffle a single-step sequence")
-        for _ in range(max_shuffle_attempts):
-            candidate = positive[:]
-            rng.shuffle(candidate)
-            if tuple(candidate) != target and tuple(candidate) not in valid_set:
-                return candidate
-        # deterministic last resort, still subject to the invalidity guarantee
-        reversal = positive[::-1]
-        if tuple(reversal) != target and tuple(reversal) not in valid_set:
-            return reversal
-        raise DegenerateInput("every permutation tried is a valid sequence")
-
-    if method == "cutswap":
+        candidates = _shuffles(positive, max_shuffle_attempts, rng)
+    elif method == "cutswap":
         if len(positive) < 2:
             raise DegenerateInput("cannot cut a single-step sequence")
-        cuts = list(range(1, len(positive)))
-        first = rng.choice(cuts)
-        for cut in [first] + [c for c in cuts if c != first]:
-            candidate = positive[cut:] + positive[:cut]
-            if tuple(candidate) != target and tuple(candidate) not in valid_set:
-                return candidate
-        raise DegenerateInput("every rotation of the sequence is valid")
+        first = rng.choice(range(1, len(positive)))
+        cuts = [first] + [cut for cut in range(1, len(positive)) if cut != first]
+        candidates = (positive[cut:] + positive[:cut] for cut in cuts)
+    else:
+        raise ValueError(f"unknown negative method {method!r}")
+    # The candidates are drawn lazily, so the search stops drawing at the first valid one.
+    for candidate in candidates:
+        if tuple(candidate) != target and tuple(candidate) not in valid_set:
+            return candidate
+    raise DegenerateInput(f"every {method} candidate tried is a valid sequence")
 
-    raise ValueError(f"unknown negative method {method!r}")
+
+def _shuffles(positive: list[int], attempts: int, rng: random.Random) -> Iterator[list[int]]:
+    """attempts shuffled copies of positive, then its reversal as a deterministic last resort."""
+    for _ in range(attempts):
+        candidate = positive[:]
+        rng.shuffle(candidate)
+        yield candidate
+    yield positive[::-1]
 
 
 def sequence_representation(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -343,13 +344,20 @@ def checked_int(value) -> int:
     return value
 
 
+def is_finite(number: int | float) -> bool:
+    """False for NaN, the infinities and an integer beyond the float range."""
+    return -sys.float_info.max <= number <= sys.float_info.max
+
+
 def checked_float(value, optional: bool = False) -> float | None:
-    """value as a float when it is a JSON number (or null, when optional); a
-    boolean or string is a ValueError."""
+    """value as a float when it is a finite JSON number (or null, when
+    optional); a boolean, string, NaN or infinity is a ValueError."""
     if optional and value is None:
         return None
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
+    if not is_finite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -22,20 +22,12 @@ if TYPE_CHECKING:
 
 
 class PrefixTrie:
-    """The step inventory a decoder may emit: one library, one step per text."""
+    """The step inventory a decoder may emit: one library, one step per text
+    (load_library refuses two steps with equal texts as near-duplicates)."""
 
     def __init__(self, library: StepLibrary):
         if not library.steps:
             raise EmptyLibrary("cannot build a trie over an empty library")
-        owners: dict[tuple[str, ...], int] = {}
-        for step in library.steps:
-            tokens = tuple(step.normalized_text.split())
-            if tokens in owners:
-                raise ValueError(
-                    f"steps {owners[tokens]} and {step.step_id} share the token "
-                    f"sequence {' '.join(tokens)!r}"
-                )
-            owners[tokens] = step.step_id
         self.library = library
 
 

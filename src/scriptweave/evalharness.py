@@ -68,15 +68,17 @@ def build_eval_splits(
     return EvalSplit(train, ordered)
 
 
+def _check_aligned(predictions: Sequence, split: EvalSplit) -> None:
+    if len(predictions) != len(split.test_examples):
+        raise LengthMismatch(f"{len(predictions)} predictions for {len(split.test_examples)} examples")
+
+
 def next_step_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -> dict[str, float]:
     """Macro-averaged Acc@1, Acc@3 (hit rate), Prec@3, Rec@3, F1@3.
 
     predictions[i] is a ranked list of step ids for test example i.
     """
-    if len(predictions) != len(split.test_examples):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions for {len(split.test_examples)} examples"
-        )
+    _check_aligned(predictions, split)
     if not predictions:
         return {"Acc@1": 0.0, "Acc@3": 0.0, "Prec@3": 0.0, "Rec@3": 0.0, "F1@3": 0.0}
     acc1 = acc3 = prec3 = rec3 = f13 = 0.0
@@ -104,10 +106,7 @@ def next_step_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) ->
 
 def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -> dict[str, float]:
     """Exact-match rate and edit distances against the nearest gold completion."""
-    if len(predictions) != len(split.test_examples):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions for {len(split.test_examples)} examples"
-        )
+    _check_aligned(predictions, split)
     if not predictions:
         return {"Acc@1": 0.0, "EditDist": 0.0, "NormalizedEditDist": 0.0}
     acc = dist_sum = norm_sum = 0.0

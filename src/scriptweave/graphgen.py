@@ -124,22 +124,14 @@ def classify_relations(graph: GraphScript) -> GraphScript:
     step_edges = {
         (e.src, e.dst) for e in graph.edges if e.src not in (START, END) and e.dst not in (START, END)
     }
-    interchangeable = {
-        tuple(sorted((a, b))) for (a, b) in step_edges if (b, a) in step_edges and a != b
-    }
-    pair_edges = {(a, b) for a, b in interchangeable} | {(b, a) for a, b in interchangeable}
+    pair_edges = {(a, b) for a, b in step_edges if (b, a) in step_edges and a != b}
+    interchangeable = {(a, b) for a, b in pair_edges if a < b}
 
-    optional: list[tuple[int, int, int]] = []
-    for i, j in step_edges:
-        if (i, j) in pair_edges:
-            continue
-        for j2, k in step_edges:
-            if j2 != j or k == i:
-                continue
-            if (j, k) in pair_edges or (i, k) in pair_edges:
-                continue
-            if (i, k) in step_edges:
-                optional.append((i, j, k))
+    one_way = step_edges - pair_edges
+    optional = [
+        (i, j, k) for i, j in one_way for j2, k in one_way
+        if j2 == j and k != i and (i, k) in one_way
+    ]
     skip_edges = {(i, k) for i, _, k in optional}
 
     sequential = sorted(step_edges - pair_edges - skip_edges)
@@ -153,12 +145,9 @@ def classify_relations(graph: GraphScript) -> GraphScript:
     )
 
 
-def _node_name(graph: GraphScript, node: int) -> str:
-    if node == START:
-        return "START"
-    if node == END:
-        return "END"
-    return graph.labels[node]
+def _node_key(node: int) -> int | str:
+    """START and END by name, a step by its id."""
+    return {START: "START", END: "END"}.get(node, node)
 
 
 def _quote(text: str) -> str:
@@ -177,15 +166,17 @@ def export_graph(graph: GraphScript) -> str:
     both = {(a, b) for a, b in pair_edges} | {(b, a) for a, b in pair_edges}
     skips = {(rel.steps[0], rel.steps[2]) for rel in graph.relations if rel.kind == "optional"}
 
+    def name(node: int) -> str:
+        return _quote(graph.labels.get(node, _node_key(node)))
+
     lines = ["digraph script {", "  rankdir=LR;"]
     lines.append('  "START" [shape=circle];')
     lines.append('  "END" [shape=doublecircle];')
     for node in graph.nodes:
-        lines.append(f"  {_quote(_node_name(graph, node))} [shape=box];")
+        lines.append(f"  {name(node)} [shape=box];")
     emitted_pairs: set[tuple[int, int]] = set()
     for edge in graph.edges:
-        src = _quote(_node_name(graph, edge.src))
-        dst = _quote(_node_name(graph, edge.dst))
+        src, dst = name(edge.src), name(edge.dst)
         attrs = [f'label="{edge.weight:.3f}"']
         key = (edge.src, edge.dst)
         if key in both:
@@ -202,13 +193,6 @@ def export_graph(graph: GraphScript) -> str:
 
 
 def graph_to_json(graph: GraphScript) -> dict:
-    def node_key(node: int):
-        if node == START:
-            return "START"
-        if node == END:
-            return "END"
-        return node
-
     return {
         "task_id": graph.task_id,
         "num_paths": graph.num_paths,
@@ -217,8 +201,8 @@ def graph_to_json(graph: GraphScript) -> dict:
         ],
         "edges": [
             {
-                "src": node_key(e.src),
-                "dst": node_key(e.dst),
+                "src": _node_key(e.src),
+                "dst": _node_key(e.dst),
                 "weight": e.weight,
                 "count": e.count,
             }

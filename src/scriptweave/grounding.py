@@ -118,8 +118,6 @@ def ground_labelled_sequence(
         j, score = assigned[i]
         step_ids.append(j)
         scores.append(score)
-    if not step_ids:
-        raise EmptySequence(f"no annotation in video {record.video_id!r} grounded")
     dropped = len(texts) - len(assigned)
     return GroundedSequence(record.video_id, record.task_id, step_ids, scores, dropped)
 
@@ -209,8 +207,6 @@ def ground_asr_sequence(
         seen.add(best_id)
         step_ids.append(best_id)
         scores.append(best)
-    if not step_ids:
-        raise EmptySequence(f"no transcript piece in video {record.video_id!r} grounded")
     return GroundedSequence(record.video_id, record.task_id, step_ids, scores, dropped)
 
 

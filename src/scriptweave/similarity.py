@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from typing import Iterable, Protocol, Sequence
 
+from .corpus import checked_float
 from .errors import EmbeddingServiceError, ZeroVector
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -220,10 +221,6 @@ class HttpEmbeddingProvider:
 
 
 def _parse_vector(value) -> tuple[float, ...]:
-    # JSON numbers only: bool is a subclass of int, and NaN and infinities parse as floats.
-    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+    if not isinstance(value, list):
         raise TypeError("an embedding vector must be a list of numbers")
-    vector = tuple(map(float, value))
-    if not all(map(math.isfinite, vector)):
-        raise ValueError("an embedding vector component is not finite")
-    return vector
+    return tuple(map(checked_float, value))

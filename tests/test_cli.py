@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import scriptweave
+from conftest import EmbedHandler
 from scriptweave.cli import (
     DECODED_FILE,
     GRAPH_DOT_FILE,
@@ -194,6 +196,31 @@ class TestPipeline:
         rows = [json.loads(l) for l in (out / GROUNDED_FILE).read_text().splitlines()]
         assert [row["video_id"] for row in rows] == ["v1", "v2", "v3"]
 
+    def test_videos_that_ground_to_nothing_are_skipped(self, workspace, capsys):
+        unmatched = [
+            # no item reaches k1 against any step
+            {"video_id": "v5", "task_id": "t1", "kind": "labelled", "items": [{"text": "zzz qqq"}]},
+            # the title passes the k2 gate, but no transcript piece reaches k3
+            {"video_id": "v6", "task_id": "t1", "kind": "asr", "title": "make lemonade",
+             "items": [{"text": "blorp flim flam"}]},
+        ]
+        write_jsonl_file(workspace / "corpus.jsonl", VIDEOS + unmatched)
+        for argv in pipeline_argvs(workspace, workspace / "out")[:2]:  # library, ground
+            assert run_command(argv) == 0, argv[0]
+        assert "(4 sequences, 2 videos skipped)" in capsys.readouterr().out
+        rows = [json.loads(l) for l in (workspace / "out" / GROUNDED_FILE).read_text().splitlines()]
+        assert [row["video_id"] for row in rows] == ["v1", "v2", "v3", "v4"]
+
+    def test_task_flag_picks_one_task_of_several(self, workspace):
+        tasks = workspace / "tasks.jsonl"
+        write_jsonl_file(tasks, TASKS + [{"task_id": "t2", "task_name": "bike tire"}])
+        out = workspace / "out"
+        assert run_command(["library", "--seed", "1", "--task", "t2", "--tasks", str(tasks),
+                            "--docs", str(workspace / "docs.jsonl"), "--out-dir", str(out)]) == 0
+        library = load_library(out / LIBRARY_FILE)
+        assert library.task_id == "t2"
+        assert library.texts() == ["remove wheel", "patch tube"]
+
     def test_library_artifacts_are_loadable(self, workspace):
         out = workspace / "out"
         run_pipeline(workspace, out)
@@ -297,6 +324,30 @@ class TestPipeline:
         run_pipeline(workspace, out2)
         for name in ARTIFACTS:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+class TestEmbeddingService:
+    """With embedding_url set, library, ground and losses compare texts through the service."""
+
+    def test_stages_run_on_the_service_byte_identically(self, workspace, embed_server,
+                                                        monkeypatch):
+        monkeypatch.setenv("SCRIPTWEAVE_EMBEDDING_URL", embed_server)
+        runs = [workspace / "run1", workspace / "run2"]
+        for out in runs:
+            for argv in pipeline_argvs(workspace, out)[:5]:  # library .. losses
+                assert run_command(argv) == 0, argv[0]
+        assert TASKS[0]["task_name"] in EmbedHandler.received
+        for name in (LIBRARY_FILE, GROUNDED_LIBRARY_FILE, GROUNDED_FILE, MODEL_FILE, LOSSES_FILE):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    def test_service_that_is_down_exits_2(self, workspace, capsys, monkeypatch):
+        with socket.socket() as sock:  # a local port that nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv("SCRIPTWEAVE_EMBEDDING_URL", f"http://127.0.0.1:{port}")
+        library = pipeline_argvs(workspace, workspace / "out")[0]
+        assert run_command(library) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "EmbeddingServiceError"
 
 
 # Runs the stages given as JSON argv lists in one fresh interpreter in which
@@ -561,6 +612,16 @@ class TestErrorReporting:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
 
+    def test_empty_task_file_rejected(self, workspace, capsys):
+        tasks = workspace / "tasks.jsonl"
+        tasks.write_text("", encoding="utf-8")
+        code = run_command(["library", "--seed", "1", "--tasks", str(tasks),
+                            "--docs", str(workspace / "docs.jsonl"),
+                            "--out-dir", str(workspace / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BadConfig", "message": f"no tasks in {tasks}"}
+
     def test_unknown_task_id_rejected(self, tmp_path, capsys):
         write_jsonl_file(tmp_path / "tasks.jsonl", TASKS)
         write_jsonl_file(tmp_path / "docs.jsonl", DOCS)
@@ -591,6 +652,9 @@ class TestErrorReporting:
             ({}, "", ["losses", "--epoch", "-1"], "epoch"),
             ({}, "", ["eval", "--split", "1.5"], "train_fraction"),
             ({"SCRIPTWEAVE_EMBEDDING_TIMEOUT": "0"}, "", ["ground"], "embedding_timeout"),
+            ({"SCRIPTWEAVE_SMOOTHING_LAMBDA": "Infinity"}, "", ["train"], "smoothing_lambda"),
+            ({}, "temperature = Infinity\n", ["losses"], "temperature"),
+            pytest.param({}, f"k1 = {10**400}\n", ["ground"], "k1", id="k1-huge-int"),
         ],
     )
     def test_out_of_range_setting_reports_bad_config(
@@ -767,6 +831,10 @@ class TestMalformedArtifacts:
                          lambda data: _with_step(data, 1, "normalized_text",
                                                  data["steps"][0]["normalized_text"] + "s"),
                          "steps 0 and 1 are near-duplicates", id="train-library-near-duplicates"),
+            pytest.param("decode", GROUNDED_LIBRARY_FILE,
+                         lambda data: _with_step(data, 1, "normalized_text",
+                                                 data["steps"][0]["normalized_text"]),
+                         "steps 0 and 1 are near-duplicates", id="decode-library-equal-texts"),
             pytest.param("train", GROUNDED_LIBRARY_FILE,
                          lambda data: {**data, "source_docs": [["doc", "1"]]},
                          "expected a number, got '1'", id="train-library-string-doc-score"),
@@ -784,6 +852,8 @@ class TestMalformedArtifacts:
                   ("bool-step", "step_ids", [True]),
                   ("bool-score", "scores", [True]),
                   ("string-score", "scores", ["0.5"]),
+                  ("nan-score", "scores", [float("nan")]),
+                  ("huge-int-score", "scores", [10**400]),
                   ("bool-dropped", "dropped", False),
               )],
             pytest.param("graph", DECODED_FILE, lambda row: {**row, "steps": [1.5]}, "1.5",
@@ -796,6 +866,8 @@ class TestMalformedArtifacts:
                          id="decode-model-float-order"),
             pytest.param("decode", MODEL_FILE, lambda data: {**data, "lambda": True}, "True",
                          id="decode-model-bool-lambda"),
+            pytest.param("decode", MODEL_FILE, lambda data: {**data, "lambda": float("nan")},
+                         "expected a finite number, got nan", id="decode-model-nan-lambda"),
             pytest.param("decode", MODEL_FILE, lambda data: {**data, "order": 0},
                          "order must be at least 1", id="decode-model-order-0"),
             pytest.param("decode", MODEL_FILE, lambda data: {**data, "lambda": -0.1},

@@ -27,10 +27,6 @@ def make_library(texts, task_id="t1"):
 
 
 class TestPrefixTrie:
-    def test_duplicate_token_sequences_rejected(self):
-        with pytest.raises(ValueError):
-            build_prefix_trie(make_library(["mix it", "mix it"]))
-
     def test_empty_library_rejected(self):
         with pytest.raises(EmptyLibrary):
             build_prefix_trie(StepLibrary("t1", [], [], []))

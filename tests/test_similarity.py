@@ -1,18 +1,15 @@
 """TF-IDF cosine provider and the external embedding service client."""
 
-import json
 import math
 import random
-import threading
-import time
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import EmbedHandler
 from scriptweave.errors import EmbeddingServiceError, ZeroVector
 from scriptweave.similarity import HttpEmbeddingProvider, TfidfSimilarity, cosine, tokenize
 
@@ -344,63 +341,8 @@ class TestTfidfMemo:
         assert again is vec
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Embeds each text as [len(tokens), sum of token lengths]."""
-
-    mode = "ok"
-    payload = None  # the vector served for every text in "payload" mode
-    received: list[str] = []
-
-    def do_POST(self):
-        if self.path != "/embed":
-            self.send_error(404)
-            return
-        length = int(self.headers["Content-Length"])
-        texts = json.loads(self.rfile.read(length))["texts"]
-        _Handler.received.extend(texts)
-        if self.mode == "slow":
-            time.sleep(1.5)
-        if self.mode == "garbage":
-            body = b"this is not json"
-        elif self.mode == "wrong_count":
-            body = json.dumps({"vectors": [[1.0, 2.0]]}).encode()
-        elif self.mode == "ragged":
-            body = json.dumps({"vectors": [[1.0, 2.0], [1.0]][: len(texts)]}).encode()
-        elif self.mode == "missing_key":
-            body = json.dumps({"embeddings": []}).encode()
-        elif self.mode == "payload":
-            body = json.dumps({"vectors": [self.payload for _ in texts]}).encode()
-        elif self.mode == "wider":
-            body = json.dumps({"vectors": [[1.0, 2.0, 3.0] for _ in texts]}).encode()
-        else:
-            vectors = [
-                [float(len(tokenize(t))), float(sum(len(w) for w in tokenize(t)))] for t in texts
-            ]
-            body = json.dumps({"vectors": vectors}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 # Generous for a server on this host; the timeout tests set their own.
 TIMEOUT = 10.0
-
-
-@pytest.fixture()
-def embed_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.mode = "ok"
-    _Handler.received = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    thread.join(timeout=2)
 
 
 class TestHttpEmbeddingProvider:
@@ -423,28 +365,28 @@ class TestHttpEmbeddingProvider:
             provider.embed(["anything"])
 
     def test_timeout_is_a_hard_error(self, embed_server):
-        _Handler.mode = "slow"
+        EmbedHandler.mode = "slow"
         provider = HttpEmbeddingProvider(embed_server, timeout=0.2)
         with pytest.raises(EmbeddingServiceError):
             provider.embed(["anything"])
 
     def test_malformed_body_is_a_hard_error(self, embed_server):
-        _Handler.mode = "garbage"
+        EmbedHandler.mode = "garbage"
         with pytest.raises(EmbeddingServiceError):
             HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x"])
 
     def test_missing_key_is_a_hard_error(self, embed_server):
-        _Handler.mode = "missing_key"
+        EmbedHandler.mode = "missing_key"
         with pytest.raises(EmbeddingServiceError):
             HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x"])
 
     def test_wrong_vector_count_is_a_hard_error(self, embed_server):
-        _Handler.mode = "wrong_count"
+        EmbedHandler.mode = "wrong_count"
         with pytest.raises(EmbeddingServiceError):
             HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x", "y"])
 
     def test_ragged_vectors_are_a_hard_error(self, embed_server):
-        _Handler.mode = "ragged"
+        EmbedHandler.mode = "ragged"
         with pytest.raises(EmbeddingServiceError):
             HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x", "y"])
 
@@ -465,16 +407,16 @@ class TestHttpEmbeddingProvider:
     )
     def test_malformed_vector_is_a_hard_error(self, embed_server, vector):
         provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
-        _Handler.mode = "payload"
-        _Handler.payload = vector
+        EmbedHandler.mode = "payload"
+        EmbedHandler.payload = vector
         with pytest.raises(EmbeddingServiceError):
             provider.embed(["add sugar"])
-        _Handler.mode = "ok"
+        EmbedHandler.mode = "ok"
         assert list(provider.embed(["add sugar"])[0]) == [2.0, 8.0]
 
     def test_integer_components_are_floats(self, embed_server):
-        _Handler.mode = "payload"
-        _Handler.payload = [3, -1]
+        EmbedHandler.mode = "payload"
+        EmbedHandler.payload = [3, -1]
         (vec,) = HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["add sugar"])
         assert [x.hex() for x in vec] == [(3.0).hex(), (-1.0).hex()]
 
@@ -483,28 +425,28 @@ class TestHttpEmbeddingProvider:
         queries = ["add sugar", "stir it", "add sugar"]
         keys = ["add sugar", "mix it well", "serve", "stir"]
         scores = [[provider.similarity(q, k) for k in keys] for q in queries]
-        assert len(_Handler.received) <= 7
-        assert sorted(_Handler.received) == sorted(set(queries) | set(keys))
+        assert len(EmbedHandler.received) <= 7
+        assert sorted(EmbedHandler.received) == sorted(set(queries) | set(keys))
         fresh = [[HttpEmbeddingProvider(embed_server, TIMEOUT).similarity(q, k) for k in keys]
                  for q in queries]
         assert scores == fresh
 
     def test_failed_request_caches_nothing(self, embed_server):
         provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
-        _Handler.mode = "garbage"
+        EmbedHandler.mode = "garbage"
         with pytest.raises(EmbeddingServiceError):
             provider.similarity("add sugar", "stir")
-        _Handler.mode = "ok"
-        _Handler.received = []
+        EmbedHandler.mode = "ok"
+        EmbedHandler.received = []
         assert provider.similarity("add sugar", "stir") == pytest.approx(
             HttpEmbeddingProvider(embed_server, TIMEOUT).similarity("add sugar", "stir")
         )
-        assert _Handler.received[:2] == ["add sugar", "stir"]
+        assert EmbedHandler.received[:2] == ["add sugar", "stir"]
 
     def test_dimension_change_between_requests_is_a_hard_error(self, embed_server):
         provider = HttpEmbeddingProvider(embed_server, TIMEOUT)
         provider.embed(["add sugar"])
-        _Handler.mode = "wider"
+        EmbedHandler.mode = "wider"
         with pytest.raises(EmbeddingServiceError):
             provider.similarity("add sugar", "stir")
 
