@@ -26,6 +26,7 @@ DEDUP_DISTANCE = 0.1
 _BRACKETED_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]")
 _EDGE_PUNCT_RE = re.compile(r"^[\W_]+|[\W_]+$")
 _WHITESPACE_RE = re.compile(r"\s+")
+_FLOAT_MAX = sys.float_info.max
 
 
 def normalize_step(raw: str) -> str:
@@ -346,7 +347,7 @@ def checked_int(value) -> int:
 
 def is_finite(number: int | float) -> bool:
     """False for NaN, the infinities and an integer beyond the float range."""
-    return -sys.float_info.max <= number <= sys.float_info.max
+    return -_FLOAT_MAX <= number <= _FLOAT_MAX
 
 
 def checked_float(value, optional: bool = False) -> float | None:
@@ -368,12 +369,19 @@ def checked_str(value, what: str, optional: bool = False):
     raise ValueError(f"{what} must be a string, got {value!r}")
 
 
-def parse_rows(path: str | Path, parse: Callable) -> list:
-    """parse() each JSONL row; a row it rejects raises BadInput naming path:line."""
-    return [
-        parse_checked(f"{path}:{lineno}", parse, row)
-        for lineno, row in read_jsonl(path)
-    ]
+def parse_rows(path: str | Path, parse: Callable, unique: str | None = None) -> list:
+    """parse() each JSONL row; a row it rejects, or one whose attribute named
+    unique repeats an earlier row's, raises BadInput naming path:line."""
+    rows, seen = [], set()
+    for lineno, row in read_jsonl(path):
+        parsed = parse_checked(f"{path}:{lineno}", parse, row)
+        if unique is not None:
+            key = getattr(parsed, unique)
+            if key in seen:
+                raise BadInput(f"{path}:{lineno}: repeated {unique} {key!r}")
+            seen.add(key)
+        rows.append(parsed)
+    return rows
 
 
 def _task(row) -> TaskSpec:
@@ -409,7 +417,7 @@ def _record(row) -> RawSequenceRecord:
 
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
-    return parse_rows(path, _task)
+    return parse_rows(path, _task, unique="task_id")
 
 
 def load_candidate_docs(path: str | Path) -> list[tuple[str, list[str]]]:
@@ -417,7 +425,7 @@ def load_candidate_docs(path: str | Path) -> list[tuple[str, list[str]]]:
 
 
 def load_raw_records(path: str | Path) -> list[RawSequenceRecord]:
-    return parse_rows(path, _record)
+    return parse_rows(path, _record, unique="video_id")
 
 
 def library_to_json(library: StepLibrary) -> dict:

@@ -275,5 +275,5 @@ def save_grounded(sequences: Sequence[GroundedSequence], path) -> None:
 
 
 def load_grounded(path) -> list[GroundedSequence]:
-    """A row that is not a grounded sequence raises BadInput naming path:line."""
-    return parse_rows(path, grounded_from_json)
+    """A row that is not a grounded sequence, or repeats a video_id, raises BadInput naming path:line."""
+    return parse_rows(path, grounded_from_json, unique="video_id")

@@ -1,7 +1,8 @@
 """Deterministic JSON reading and writing shared by all pipeline stages.
 
 Keys are always sorted and files end with a newline so that identical
-inputs produce byte-identical artifacts.
+inputs produce byte-identical artifacts. The writers refuse NaN and the
+infinities, which are not JSON.
 """
 
 from __future__ import annotations
@@ -9,11 +10,20 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import BadInput, MissingArtifact
+from .errors import BadInput, MissingArtifact, ScriptweaveError
+
+
+def _dumps(objs, path: str | Path, **layout) -> list[str]:
+    """Each of objs as JSON; a non-finite number in one is a ScriptweaveError naming path."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False, **layout).encode
+    try:
+        return [encode(obj) for obj in objs]
+    except ValueError as exc:
+        raise ScriptweaveError(f"{path}: not written: {exc}") from None
 
 
 def write_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_dumps([obj], path, indent=2)[0] + "\n", encoding="utf-8")
 
 
 def _read_text(path: str | Path) -> str:
@@ -35,7 +45,7 @@ def read_json(path: str | Path):
 
 
 def write_jsonl(rows, path: str | Path) -> None:
-    lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
+    lines = _dumps(rows, path, separators=(",", ":"))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

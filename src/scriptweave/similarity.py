@@ -51,23 +51,25 @@ class TfidfSimilarity:
     """Token-level TF-IDF cosine similarity.
 
     Document frequencies are frozen at construction from corpus_texts,
-    using smoothed idf so every token keeps positive weight. similarity()
-    scores arbitrary text pairs, extending the weighting to tokens outside
-    the corpus, which keeps similarity(a, a) == 1.0 for any text with at
-    least one token. embed() projects onto the fixed corpus vocabulary so
-    vectors from different calls share one dimension; tokens outside the
-    vocabulary contribute nothing there.
+    using smoothed idf so every token keeps positive weight; each distinct
+    text is tokenised once, counted once per occurrence, and its tokens are
+    kept until it is weighted. similarity() scores arbitrary text pairs,
+    extending the weighting to tokens outside the corpus, which keeps
+    similarity(a, a) == 1.0 for any text with at least one token. embed()
+    projects onto the fixed corpus vocabulary so vectors from different
+    calls share one dimension; tokens outside the vocabulary contribute
+    nothing there.
 
     Work is memoised for the life of the provider: each distinct text is
-    tokenised and weighted once, and its L2 norm and unit vector are kept.
-    Scores come in rows. Every second text similarity() has been asked
-    about is a column, kept in an inverted index (token -> column texts and
+    weighted once, and its L2 norm and unit vector are kept. Scores come in
+    rows. Every second text similarity() has been asked about is a column,
+    kept with its norm and in an inverted index (token -> column texts and
     their weights). When the first text's row lacks the second, the whole
-    row is filled again against every known column in one pass over that
-    index; so a repeated pair, or any pair of a filled row, is a dictionary
-    lookup. Scores use the same float operations as uncached scoring (each
-    shared token's product, summed by fsum), so every score is
-    bit-identical to it in any call order.
+    row is filled again against every known column, term at a time: one
+    product per posting, and an fsum only for a column that two or more
+    tokens hit. A repeated pair, or any pair of a filled row, is a
+    dictionary lookup. Scores use the same float operations as uncached
+    scoring, so every score is bit-identical to it in any call order.
 
     A row costs one score per column, so it pays only when each stage's
     columns are few and arrive early: the task name in library, the step
@@ -81,23 +83,27 @@ class TfidfSimilarity:
     """
 
     def __init__(self, corpus_texts: Iterable[str]):
-        docs = [tokenize(text) for text in corpus_texts]
-        df: Counter[str] = Counter()
-        for tokens in docs:
-            df.update(set(tokens))
+        occurrences = Counter(corpus_texts)
+        self._tokens = {text: tokenize(text) for text in occurrences}
+        df: dict[str, int] = {}
+        for text, n in occurrences.items():
+            for token in set(self._tokens[text]):
+                df[token] = df.get(token, 0) + n
+        n_docs = occurrences.total()
         # Smoothed idf, computed once per token; a token outside the corpus has df 0.
-        self._idf = {t: math.log((1 + len(docs)) / (1 + n)) + 1.0 for t, n in df.items()}
-        self._unseen_idf = math.log((1 + len(docs)) / (1 + 0)) + 1.0
+        self._idf = {t: math.log((1 + n_docs) / (1 + n)) + 1.0 for t, n in df.items()}
+        self._unseen_idf = math.log((1 + n_docs) / (1 + 0)) + 1.0
         self._vocab = {token: i for i, token in enumerate(sorted(self._idf))}
         self._weighted: dict[str, tuple[dict[str, float], float]] = {}
         self._vectors: dict[str, tuple[float, ...]] = {}
         self._rows: dict[str, dict[str, float]] = {}
-        self._columns: dict[str, None] = {}  # every b asked about, as an ordered set
+        self._columns: dict[str, float] = {}  # every b asked about, and its norm
         self._index: dict[str, list[tuple[str, float]]] = {}
 
     def _weights(self, text: str) -> dict[str, float]:
         idf, unseen = self._idf, self._unseen_idf
-        return {t: count * idf.get(t, unseen) for t, count in Counter(tokenize(text)).items()}
+        tokens = self._tokens.pop(text) if text in self._tokens else tokenize(text)
+        return {t: count * idf.get(t, unseen) for t, count in Counter(tokens).items()}
 
     def _memo_weights(self, text: str) -> tuple[dict[str, float], float]:
         weights = self._weights(text)
@@ -106,14 +112,12 @@ class TfidfSimilarity:
         return entry
 
     def similarity(self, a: str, b: str) -> float:
-        row = self._rows.get(a)
-        if row is not None:
-            score = row.get(b)
-            if score is not None:
-                return score
+        try:
+            return self._rows[a][b]
+        except KeyError:
+            pass
         if b not in self._columns:
-            weights, _ = self._weighted.get(b) or self._memo_weights(b)
-            self._columns[b] = None
+            weights, self._columns[b] = self._weighted.get(b) or self._memo_weights(b)
             for token, weight in weights.items():
                 self._index.setdefault(token, []).append((b, weight))
         row = self._rows[a] = self._score_row(a)
@@ -122,20 +126,38 @@ class TfidfSimilarity:
     def _score_row(self, a: str) -> dict[str, float]:
         """a's scores against every column in the index."""
         wa, norm_a = self._weighted.get(a) or self._memo_weights(a)
-        row = dict.fromkeys(self._columns, 0.0)  # an empty text, or no shared token, scores 0.0
-        products: dict[str, list[float]] = {}
-        for token, weight in wa.items():
-            for column, column_weight in self._index.get(token, ()):
-                products.setdefault(column, []).append(weight * column_weight)
-        weighted, n_a, fsum = self._weighted, len(wa), math.fsum
-        for column, shared in products.items():
-            wb, norm_b = weighted[column]
-            if len(shared) == n_a and wa == wb:
+        norms, index = self._columns, self._index
+        row = dict.fromkeys(norms, 0.0)  # an empty text, or no shared token, scores 0.0
+        postings = sorted(((index[t], w) for t, w in wa.items() if t in index),
+                          key=lambda entry: len(entry[0]), reverse=True)
+        if not postings:
+            return row
+        # One product per posting: the longest list fills dots, and only a column
+        # that two or more tokens hit keeps its products, to be summed by fsum.
+        first, weight = postings[0]
+        dots = {column: weight * column_weight for column, column_weight in first}
+        shared: dict[str, list[float]] = {}
+        for posting, weight in postings[1:]:
+            for column, column_weight in posting:
+                product = weight * column_weight
+                if column not in dots:
+                    dots[column] = product
+                elif column in shared:
+                    shared[column].append(product)
+                else:
+                    shared[column] = [dots[column], product]
+        for column, products in shared.items():
+            dots[column] = math.fsum(products)
+        # Scores are never negative (idf >= 1), so only the top needs a clamp.
+        for column, dot in dots.items():
+            score = dot / (norm_a * norms[column])
+            row[column] = score if score < 1.0 else 1.0
+        # A column with a's weight map scores exactly 1.0. For one token the
+        # arithmetic gives it: sqrt(w * w) == w in binary floating point.
+        weighted = self._weighted
+        for column in shared:
+            if weighted[column][0] == wa:
                 row[column] = 1.0
-            else:
-                # fsum of one product is that product; scores are never negative (idf >= 1).
-                score = (shared[0] if len(shared) == 1 else fsum(shared)) / (norm_a * norm_b)
-                row[column] = score if score < 1.0 else 1.0
         return row
 
     def _memo_vector(self, text: str) -> tuple[float, ...]:

@@ -584,6 +584,21 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingArtifact"
 
+    def test_non_finite_number_is_not_written(self, finished_run, tmp_path, monkeypatch, capsys):
+        """A temperature that passes the range check but makes every loss NaN:
+        the writer refuses the artifact, writes nothing, and the stage exits 2."""
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        (out / LOSSES_FILE).unlink()
+        monkeypatch.setenv("SCRIPTWEAVE_TEMPERATURE", "1e-320")
+        capsys.readouterr()
+        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == "losses"]
+        assert run_command(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ScriptweaveError", "message": f"{out / LOSSES_FILE}: not written: "
+                       "Out of range float values are not JSON compliant: nan"}
+        assert not (out / LOSSES_FILE).exists()
+
     @pytest.mark.parametrize("stage", ["stats", "train", "losses", "decode", "graph", "eval"])
     def test_reading_stage_creates_no_output_directory(self, tmp_path, capsys, stage):
         out = tmp_path / "typo_dir"
@@ -678,6 +693,8 @@ class TestErrorReporting:
             ('{"video_id": "v1", "task_id": "t1", "kind": "labelled"}\n', ":1:", "'items'"),
             ('{"video_id": "v1", "task_id": "t1", "kind": "labelled", "items": [{"text": 5}]}\n',
              ":1:", "item text"),
+            ('{"video_id": "v1", "task_id": "t1", "kind": "labelled", "items": [{"text": "stir"}]}'
+             '\n' * 2, ":2:", "repeated video_id 'v1'"),
         ],
     )
     def test_malformed_corpus_reports_bad_input(self, workspace, capsys, corpus, where, fragment):

@@ -28,7 +28,7 @@ from scriptweave.corpus import (
     normalized_levenshtein,
 )
 from scriptweave.errors import BadInput, EmptyCorpus, EmptyStep, NoDocuments
-from scriptweave.grounding import GroundedSequence
+from scriptweave.grounding import GroundedSequence, load_grounded
 
 
 class TestNormalizeStep:
@@ -512,6 +512,12 @@ class TestFileFormats:
             (load_raw_records,
              '{"video_id": "v", "task_id": "t", "kind": "labelled",'
              ' "items": [{"text": "mix", "start": 1, "end": true}]}\n', ":1:", "True"),
+            (load_tasks, '{"task_id": "t1", "task_name": "x"}\n{"task_id": "t2", "task_name": "y"}\n'
+             '{"task_id": "t1", "task_name": "z"}\n', ":3:", "repeated task_id 't1'"),
+            (load_raw_records, '{"video_id": "v", "task_id": "t", "kind": "asr", "items": [{"text": "x"}]}\n'
+             * 2, ":2:", "repeated video_id 'v'"),
+            (load_grounded, '{"video_id": "v", "task_id": "t", "step_ids": [0], "scores": [0.5],'
+             ' "dropped": 0}\n' * 2, ":2:", "repeated video_id 'v'"),
         ],
     )
     def test_malformed_rows_raise_bad_input_with_line(self, tmp_path, loader, text, where,

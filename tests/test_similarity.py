@@ -44,10 +44,21 @@ def naive_cosine(corpus, a, b):
     return dot / (na * nb)
 
 
+def occurrence_idf(corpus):
+    """The smoothed idf table, every listed text tokenised (repeats too), and an unseen token's idf."""
+    docs = [set(tokenize(text)) for text in corpus]
+    df = Counter(token for doc in docs for token in doc)
+    idf = {t: math.log((1 + len(docs)) / (1 + n)) + 1.0 for t, n in df.items()}
+    return idf, math.log((1 + len(docs)) / (1 + 0)) + 1.0
+
+
 def uncached_similarity(corpus, a, b):
-    """The scoring arithmetic with nothing kept between calls: the bit-exact reference."""
-    provider = TfidfSimilarity(corpus)
-    wa, wb = provider._weights(a), provider._weights(b)
+    """The per-pair scoring arithmetic with nothing kept between calls: the bit-exact reference.
+    fsum of the shared tokens' products over norm_a * norm_b, equal weights score 1.0,
+    clamped at 1.0, and 0.0 without a shared token."""
+    idf, unseen = occurrence_idf(corpus)
+    wa, wb = ({t: c * idf.get(t, unseen) for t, c in Counter(tokenize(text)).items()}
+              for text in (a, b))
     if not wa or not wb:
         return 0.0
     if wa == wb:
@@ -289,6 +300,60 @@ class TestTfidfRows:
         provider = TfidfSimilarity(CORPUS)
         for a, b in calls:
             assert provider.similarity(a, b).hex() == uncached_similarity(CORPUS, a, b).hex()
+
+
+# Texts with no token, one token or several, from few words, so corpora repeat texts.
+_FIT_TEXTS = st.lists(st.sampled_from(["the", "sugar", "stir", "lemons", "zzqx", "..."]),
+                      max_size=4).map(" ".join)
+
+
+@st.composite
+def _fit_calls(draw):
+    """A corpus listing each of its texts one to three times in any order, and pairs
+    over its texts and others, asked in any order: columns arrive after rows are filled."""
+    texts = draw(st.lists(_FIT_TEXTS, min_size=1, max_size=6, unique=True))
+    corpus = draw(st.permutations([t for t in texts for _ in range(draw(st.integers(1, 3)))]))
+    pool = texts + draw(st.lists(_FIT_TEXTS, max_size=3))
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    return corpus, draw(st.lists(pairs, min_size=1, max_size=30))
+
+
+class TestTfidfFit:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fit_calls())
+    @example(case=(["stir", "stir", "the sugar", "", "the sugar"],
+                   [("stir", "stir"), ("the sugar", "stir"), ("stir", "the sugar"),
+                    ("", "the"), ("the", "the sugar"), ("stir", "the the")]))
+    @example(case=(["stir", "stir", "the", "the", "the", "lemons sugar sugar"],
+                   [("the sugar", "sugar the sugar the")]))  # parallel: clamped to 1.0
+    @example(case=(["zzqx", "... sugar ... zzqx", *["sugar ... sugar"] * 3,
+                    *["sugar zzqx zzqx stir"] * 3],
+                   [("lemons the zzqx ...", "sugar zzqx lemons the")]))  # a sum that needs fsum
+    def test_rows_equal_the_per_pair_formula(self, case):
+        corpus, pairs = case
+        provider = TfidfSimilarity(corpus)
+        assert (provider._idf, provider._unseen_idf) == occurrence_idf(corpus)
+        assert provider._idf == TfidfSimilarity(list(reversed(corpus)))._idf
+        for a, b in pairs:
+            assert provider.similarity(a, b) == uncached_similarity(corpus, a, b)
+
+    def test_each_distinct_text_is_tokenised_once(self, monkeypatch):
+        tokenised = Counter()
+
+        def counting_tokenize(text):
+            tokenised[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr("scriptweave.similarity.tokenize", counting_tokenize)
+        corpus = CORPUS * 3 + ["stir", "", "stir"]
+        provider = TfidfSimilarity(corpus)
+        assert tokenised == Counter(set(corpus))
+        # Scoring and embedding the corpus texts afterwards tokenises none of them again.
+        for a in corpus:
+            for b in corpus:
+                provider.similarity(a, b)
+        provider.embed(corpus)
+        assert tokenised == Counter(set(corpus))
 
 
 class TestTfidfMemo:
