@@ -40,6 +40,7 @@ from .contrastive import (
     generate_negative,
     path_level_losses,
     sequence_representation,
+    step_vectors,
 )
 from .corpus import corpus_statistics, is_finite, load_candidate_docs, load_raw_records, load_tasks
 from .decoder import (
@@ -349,17 +350,17 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = load_model(_artifact(cfg, MODEL_FILE), library)
-    provider = _provider(cfg, library.texts())
+    vectors = step_vectors(library, _provider(cfg, library.texts()))
     mixture = curriculum_mixture(cfg.epoch)
     rng = random.Random(f"{cfg.seed}:losses")
     valid_set = {tuple(seq.step_ids) for seq in sequences}
 
     generated = greedy_completion(model, (), cfg.max_steps)
-    z_generated = sequence_representation(generated, library, provider) if generated else None
+    z_generated = sequence_representation(generated, library, vectors) if generated else None
     rows = []
     for seq in sequences:
         nll = sequence_nll(model, seq.step_ids)
-        z_p = sequence_representation(seq.step_ids, library, provider)
+        z_p = sequence_representation(seq.step_ids, library, vectors)
         z_g = z_p if z_generated is None else z_generated
         methods = []
         z_negatives = []
@@ -372,7 +373,7 @@ def cmd_losses(cfg: PipelineConfig) -> int:
             except DegenerateInput:
                 continue
             methods.append(method)
-            z_negatives.append(sequence_representation(negative, library, provider))
+            z_negatives.append(sequence_representation(negative, library, vectors))
         contrastive, total = path_level_losses(z_g, z_p, z_negatives, nll, cfg)
         rows.append(
             {

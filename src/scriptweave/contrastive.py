@@ -9,7 +9,6 @@ against one positive and its negatives.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -110,24 +109,37 @@ def _shuffles(positive: list[int], attempts: int, rng: random.Random) -> Iterato
     yield positive[::-1]
 
 
+class StepVectors(NamedTuple):
+    """Each library step's embedding as its nonzero (component, value) pairs, by step id."""
+    dim: int
+    nonzeros: list[list[tuple[int, float]]]
+
+
+def step_vectors(library: StepLibrary, provider: SimilarityProvider) -> StepVectors:
+    """Embed every step text once; embeddings of different dimensions are a ValueError."""
+    vectors = provider.embed(library.texts())
+    if len({len(vec) for vec in vectors}) > 1:
+        raise ValueError("step embeddings have different dimensions")
+    dim = len(vectors[0]) if vectors else 0
+    return StepVectors(dim, [[(i, x) for i, x in enumerate(vec) if x] for vec in vectors])
+
+
 def sequence_representation(
-    step_ids: Sequence[int], library: StepLibrary, provider: SimilarityProvider
+    step_ids: Sequence[int], library: StepLibrary, vectors: StepVectors
 ) -> tuple[float, ...]:
     """Mean of the step-text embeddings along a path: the vectors are added
     left to right to a zero vector, then every component is divided by the
-    path length."""
+    path length. Only nonzero components are added: adding 0.0 or -0.0 to a
+    sum that starts at 0.0 never changes it."""
     step_ids = list(step_ids)
     if not step_ids:
         raise EmptySequence("cannot embed an empty sequence")
     check_steps(step_ids, library)
-    texts = [library.steps[step_id].normalized_text for step_id in step_ids]
-    vectors = provider.embed(texts)
-    if len({len(vec) for vec in vectors}) > 1:
-        raise ValueError("step embeddings have different dimensions")
-    total = (0.0,) * len(vectors[0])
-    for vec in vectors:
-        total = tuple(map(operator.add, total, vec))
-    return tuple(x / len(vectors) for x in total)
+    total = [0.0] * vectors.dim
+    for step_id in step_ids:
+        for i, x in vectors.nonzeros[step_id]:
+            total[i] += x
+    return tuple(x / len(step_ids) for x in total)
 
 
 def path_level_losses(

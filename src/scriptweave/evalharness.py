@@ -151,7 +151,8 @@ def baseline_predict(
     predictions = []
     for prefix, used, remaining in _unused_steps(kind, split, library):
         head = _linear_completion(prefix, used, library) if kind == "linear" else []
-        rest = [step_id for step_id in remaining if step_id not in head] if head else remaining
+        taken = set(head)
+        rest = [step_id for step_id in remaining if step_id not in taken] if head else remaining
         rng.shuffle(rest)
         predictions.append(head + rest)
     return predictions

@@ -2,7 +2,8 @@
 
 Keys are always sorted and files end with a newline so that identical
 inputs produce byte-identical artifacts. The writers refuse NaN and the
-infinities, which are not JSON.
+infinities, which are not JSON, and then remove the file they would have
+replaced.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from .errors import BadInput, MissingArtifact, ScriptweaveError
 
 
 def _dumps(objs, path: str | Path, **layout) -> list[str]:
-    """Each of objs as JSON; a non-finite number in one is a ScriptweaveError naming path."""
+    """Each of objs as JSON; a non-finite number in one is a ScriptweaveError
+    naming path, and removes any earlier file at path so none stays in its place."""
     encode = json.JSONEncoder(sort_keys=True, allow_nan=False, **layout).encode
     try:
         return [encode(obj) for obj in objs]
     except ValueError as exc:
+        Path(path).unlink(missing_ok=True)
         raise ScriptweaveError(f"{path}: not written: {exc}") from None
 
 

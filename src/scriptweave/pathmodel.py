@@ -8,8 +8,9 @@ empirical estimator and unseen transitions have probability zero.
 
 Every consumer reads PathModel.rows: the probability and log-probability
 rows over [0..V-1, END] of a prefix's effective context, built once per
-context with the float expressions and math.log of a per-transition
-computation, so every value is bit-identical to scoring one transition.
+context from one value per distinct count (0 in every unobserved column),
+with the float expressions and math.log of a per-transition computation,
+so every value is bit-identical to scoring one transition.
 """
 
 from __future__ import annotations
@@ -123,20 +124,23 @@ def _effective_context(model: PathModel, prefix: Sequence[int]) -> tuple[int, ..
 
 
 def _context_rows(model: PathModel, ctx: tuple[int, ...]) -> tuple[Row, Row]:
-    # Per cell, the IEEE operations of scoring one transition:
+    # Per distinct count, the IEEE operations of scoring one transition:
     # (count + lam) / (total + lam * V1), count / total, or 1 / V1.
     size = model.vocabulary_size
     lam = model.smoothing_lambda
     total = model.totals.get(ctx, 0)
-    counts = [0] * size
-    for nxt, count in model.counts.get(ctx, {}).items():
-        counts[size - 1 if nxt == END else nxt] = count
-    if lam == 0.0:
-        prob = (1.0 / size,) * size if total == 0 else tuple(c / total for c in counts)
-    else:
-        prob = tuple((c + lam) / (total + lam * size) for c in counts)
-    logprob = tuple(math.log(p) if p > 0.0 else -math.inf for p in prob)
-    return prob, logprob
+    observed = {size - 1 if nxt == END else nxt: c for nxt, c in model.counts.get(ctx, {}).items()}
+    cells = {}
+    for c in {0, *observed.values()}:
+        if lam == 0.0:
+            p = 1.0 / size if total == 0 else c / total
+        else:
+            p = (c + lam) / (total + lam * size)
+        cells[c] = (p, math.log(p) if p > 0.0 else -math.inf)
+    prob, logprob = [cells[0][0]] * size, [cells[0][1]] * size
+    for column, c in observed.items():
+        prob[column], logprob[column] = cells[c]
+    return tuple(prob), tuple(logprob)
 
 
 def model_to_json(model: PathModel) -> dict:

@@ -340,6 +340,19 @@ class TestEmbeddingService:
         for name in (LIBRARY_FILE, GROUNDED_LIBRARY_FILE, GROUNDED_FILE, MODEL_FILE, LOSSES_FILE):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
+    def test_losses_sends_each_step_text_once(self, workspace, embed_server, monkeypatch):
+        runs = [workspace / "run1", workspace / "run2"]
+        for out in runs:
+            for argv in pipeline_argvs(workspace, out)[:4]:  # library .. train
+                assert run_command(argv) == 0, argv[0]
+        monkeypatch.setenv("SCRIPTWEAVE_EMBEDDING_URL", embed_server)
+        for out in runs:
+            EmbedHandler.received = []
+            assert run_command(pipeline_argvs(workspace, out)[4]) == 0  # losses
+            texts = set(load_library(out / GROUNDED_LIBRARY_FILE).texts())
+            assert sorted(EmbedHandler.received) == sorted(texts)
+        assert (runs[0] / LOSSES_FILE).read_bytes() == (runs[1] / LOSSES_FILE).read_bytes()
+
     def test_service_that_is_down_exits_2(self, workspace, capsys, monkeypatch):
         with socket.socket() as sock:  # a local port that nothing listens on once closed
             sock.bind(("127.0.0.1", 0))
@@ -586,13 +599,15 @@ class TestErrorReporting:
 
     def test_non_finite_number_is_not_written(self, finished_run, tmp_path, monkeypatch, capsys):
         """A temperature that passes the range check but makes every loss NaN:
-        the writer refuses the artifact, writes nothing, and the stage exits 2."""
+        the writer refuses the artifact, removes the earlier run's, and the
+        stage exits 2."""
         out = tmp_path / "out"
         shutil.copytree(finished_run / "out", out)
-        (out / LOSSES_FILE).unlink()
+        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == "losses"]
+        assert run_command(argv) == 0
+        assert (out / LOSSES_FILE).exists()
         monkeypatch.setenv("SCRIPTWEAVE_TEMPERATURE", "1e-320")
         capsys.readouterr()
-        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == "losses"]
         assert run_command(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ScriptweaveError", "message": f"{out / LOSSES_FILE}: not written: "

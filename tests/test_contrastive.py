@@ -13,11 +13,13 @@ from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import Step, StepLibrary
 from scriptweave.contrastive import (
     MixtureWeights,
+    StepVectors,
     curriculum_mixture,
     draw_negative_method,
     generate_negative,
     path_level_losses,
     sequence_representation,
+    step_vectors,
 )
 from scriptweave.errors import DegenerateInput, EmptySequence, UnknownStep, ZeroVector
 
@@ -203,25 +205,55 @@ class FixedEmbedProvider:
         raise NotImplementedError
 
 
+def represent(step_ids, table):
+    """sequence_representation over a library of len(table) steps whose
+    texts FixedEmbedProvider embeds as table's vectors, in order."""
+    library = make_library(len(table))
+    provider = FixedEmbedProvider({f"step {i}": vec for i, vec in enumerate(table)})
+    return sequence_representation(step_ids, library, step_vectors(library, provider))
+
+
+def dense_mean(step_ids, table):
+    """The dense formula: every step's whole vector added left to right to
+    a zero vector, then each component divided by the path length."""
+    total = [0.0] * len(table[0])
+    for step_id in step_ids:
+        total = [x + y for x, y in zip(total, table[step_id])]
+    return [x / len(step_ids) for x in total]
+
+
 class TestSequenceRepresentation:
     def test_mean_of_step_embeddings(self):
-        library = make_library(2)
-        provider = FixedEmbedProvider({"step 0": [1.0, 0.0], "step 1": [0.0, 1.0]})
-        vec = sequence_representation([0, 1], library, provider)
+        vec = represent([0, 1], [[1.0, 0.0], [0.0, 1.0]])
         assert list(vec) == [0.5, 0.5]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
-            sequence_representation([], make_library(2), FixedEmbedProvider({}))
+            represent([], [[1.0], [2.0]])
 
     def test_unknown_step_rejected(self):
         with pytest.raises(UnknownStep):
-            sequence_representation([5], make_library(2), FixedEmbedProvider({}))
+            represent([5], [[1.0], [2.0]])
 
     def test_mismatched_dimensions_rejected(self):
+        # Raised once, when the table is built.
         provider = FixedEmbedProvider({"step 0": [1.0, 0.0], "step 1": [0.0, 1.0, 0.0]})
         with pytest.raises(ValueError):
-            sequence_representation([0, 1], make_library(2), provider)
+            step_vectors(make_library(2), provider)
+
+    def test_table_embeds_every_step_text_once(self):
+        calls = []
+
+        class CountingProvider(FixedEmbedProvider):
+            def embed(self, texts):
+                calls.append(list(texts))
+                return super().embed(texts)
+
+        library = make_library(3)
+        table = {f"step {i}": [0.0, -0.0, float(i)] for i in range(3)}
+        vectors = step_vectors(library, CountingProvider(table))
+        assert calls == [library.texts()]
+        assert vectors == StepVectors(3, [[], [(2, 1.0)], [(2, 2.0)]])
 
     # numpy is the oracle only: the mean is a left-to-right sum from a zero
     # vector (so -0.0 sums to 0.0), divided by n, which is what numpy's mean
@@ -237,11 +269,36 @@ class TestSequenceRepresentation:
         )
     )
     def test_equals_numpy_mean_exactly(self, vectors):
-        table = {f"step {i}": vec for i, vec in enumerate(vectors)}
-        got = sequence_representation(range(len(vectors)), make_library(len(vectors)),
-                                      FixedEmbedProvider(table))
+        got = represent(range(len(vectors)), vectors)
         want = np.mean(np.stack([np.array(vec) for vec in vectors]), axis=0)
         assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    # Sparse vectors (mostly exact 0.0 and -0.0, a few components up to
+    # +-1e300 that can overflow or cancel) along paths that repeat steps:
+    # adding only the nonzero components must give the dense sum bit for bit.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda dim: st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300)),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        ).flatmap(
+            lambda table: st.tuples(
+                st.just(table),
+                st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=12),
+            )
+        )
+    )
+    def test_equals_the_dense_sum_exactly(self, case):
+        table, step_ids = case
+        got = represent(step_ids, table)
+        assert [x.hex() for x in got] == [x.hex() for x in dense_mean(step_ids, table)]
 
 
 def naive_contrastive(z_g, z_p, z_negs, temperature):

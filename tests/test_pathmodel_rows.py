@@ -136,16 +136,25 @@ def ref_model_predict_next(model, split):
 # -- generated models --------------------------------------------------------
 
 
+# 5e-324 makes a zero-count cell underflow to probability 0.0 (log -inf)
+# once the context has two or more observations.
+lambdas = st.one_of(
+    st.sampled_from([0.0, 0.01, 0.1, 1.0, 5e-324, 1e6]),
+    st.floats(0.0, 1e6, allow_nan=False),
+)
+
+
 @st.composite
 def models(draw):
-    n_steps = draw(st.integers(1, 30))
+    # Up to 120 steps, so most cells of a row have count 0, as on a wide library.
+    n_steps = draw(st.one_of(st.integers(1, 30), st.integers(90, 120)))
     step = st.integers(0, n_steps - 1)
     paths = draw(st.lists(st.lists(step, max_size=8), min_size=1, max_size=6))
     # Repeating a path makes equal counts, and so tied scores, more likely.
     paths += paths[: draw(st.integers(0, len(paths)))]
     config = PipelineConfig(
         order=draw(st.integers(1, 3)),
-        smoothing_lambda=draw(st.sampled_from([0.0, 0.01, 0.1, 1.0])),
+        smoothing_lambda=draw(lambdas),
     )
     model = train_path_model([Seq(p) for p in paths], make_library(n_steps), config)
     prefixes = draw(st.lists(st.lists(step, max_size=6), min_size=1, max_size=6))
