@@ -60,6 +60,7 @@ from .evalharness import (
     model_complete,
     model_predict_next,
     next_step_metrics,
+    unused_steps,
 )
 from .graphgen import classify_relations, export_graph, induce_graph, save_graph
 from .grounding import (
@@ -437,10 +438,11 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     systems = {
         "model": (model_predict_next(model, split), model_complete(model, split, cfg.max_steps)),
     }
+    unused = unused_steps(split, library)
     for kind in ("linear", "random"):
         systems[kind] = (
-            baseline_predict(kind, split, library, rng_seed=cfg.seed),
-            baseline_complete(kind, split, library, rng_seed=cfg.seed),
+            baseline_predict(kind, split, library, cfg.seed, unused),
+            baseline_complete(kind, split, library, cfg.seed, unused),
         )
     results = {
         name: {

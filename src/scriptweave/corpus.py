@@ -9,7 +9,9 @@ statistics over grounded sequences.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import re
 import sys
 from collections import Counter, defaultdict
@@ -131,24 +133,56 @@ def is_near_duplicate(a: str, b: str) -> bool:
     return levenshtein(a, b) <= limit
 
 
+def near_duplicate_pairs(texts: Sequence[str]) -> list[tuple[int, int]]:
+    """Every (i, j) with i < j and is_near_duplicate(texts[i], texts[j]), in ascending order.
+
+    Each text's pieces, cut as is_near_duplicate cuts the longer text, are
+    found in the texts joined by "\n" in order of length, within the span
+    of those at most limit characters shorter; is_near_duplicate confirms
+    each pair found. A text holding "\n" can only add candidates.
+    """
+    order = sorted(range(len(texts)), key=lambda i: len(texts[i]))
+    lengths = [len(texts[i]) for i in order]
+    joined = "\n".join(texts[i] for i in order)
+    starts = list(itertools.accumulate((n + 1 for n in lengths), initial=0))
+    candidates = set()
+    for i in order:
+        text = texts[i]
+        limit = _max_near_duplicate_edits(len(text)) if text else 0  # "" has no ratio
+        size = len(text) // (limit + 1)
+        pieces = {text[k * size : (k + 1) * size] for k in range(limit)} | {text[limit * size :]}
+        lo = starts[bisect.bisect_left(lengths, len(text) - limit)]
+        hi = starts[bisect.bisect_right(lengths, len(text))]
+        for piece in pieces:
+            at = joined.find(piece, lo, hi)
+            while at >= 0:
+                rank = bisect.bisect_right(starts, at) - 1
+                if order[rank] != i:
+                    candidates.add((min(i, order[rank]), max(i, order[rank])))
+                at = joined.find(piece, starts[rank + 1], hi)  # one hit per text is enough
+    return sorted(pair for pair in candidates if is_near_duplicate(texts[pair[0]], texts[pair[1]]))
+
+
 def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]]:
     """Drop near-duplicate step texts, keeping the earliest occurrence, and
     report, per input index, the kept index it maps to.
 
     A candidate is kept only when its normalized edit distance to every
-    already-kept step is at least DEDUP_DISTANCE.
+    already-kept step is at least DEDUP_DISTANCE; a dropped one maps to its
+    earliest kept near-duplicate.
     """
-    kept: list[str] = []
-    mapping: list[int] = []
-    for step in steps:
-        for match, existing in enumerate(kept):
-            if is_near_duplicate(step, existing):
-                break
-        else:
-            match = len(kept)
-            kept.append(step)
-        mapping.append(match)
-    return kept, mapping
+    distinct = list(dict.fromkeys(steps))  # a repeat maps where its first occurrence does
+    earlier: dict[int, list[int]] = defaultdict(list)
+    for i, j in near_duplicate_pairs(distinct):
+        earlier[j].append(i)
+    kept: dict[int, int] = {}  # index in distinct -> kept index, for the kept texts
+    match_of: dict[str, int] = {}
+    for j, text in enumerate(distinct):
+        match = next((kept[i] for i in earlier[j] if i in kept), len(kept))
+        if match == len(kept):
+            kept[j] = match
+        match_of[text] = match
+    return [distinct[i] for i in kept], [match_of[step] for step in steps]
 
 
 class TaskSpec(NamedTuple):
@@ -196,11 +230,9 @@ class StepLibrary(Record):
         stray = [s for seq in self.doc_sequences for s in seq if not self.has(s)]
         if stray:
             raise ValueError(f"document step id {stray[0]!r} not in the library")
-        texts = self.texts()
-        for i in range(len(texts)):
-            for j in range(i + 1, len(texts)):
-                if is_near_duplicate(texts[i], texts[j]):
-                    raise ValueError(f"steps {i} and {j} are near-duplicates")
+        pairs = near_duplicate_pairs(self.texts())
+        if pairs:
+            raise ValueError(f"steps {pairs[0][0]} and {pairs[0][1]} are near-duplicates")
 
 
 def build_step_library(

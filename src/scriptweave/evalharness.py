@@ -127,60 +127,67 @@ def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -
     return {"Acc@1": acc / n, "EditDist": dist_sum / n, "NormalizedEditDist": norm_sum / n}
 
 
-def _unused_steps(kind, split, library) -> list[tuple[tuple, set, list[int]]]:
-    """(prefix, its step set, library steps not in it) per test example."""
+def unused_steps(split: EvalSplit, library: StepLibrary) -> list[list[int]]:
+    """The library steps not in each test example's prefix, in id order."""
+    all_ids = library.step_ids()
+    used_sets = (set(example.prefix) for example in split.test_examples)
+    return [[s for s in all_ids if s not in used] for used in used_sets]
+
+
+def _baseline_inputs(kind, split, library, unused) -> zip:
+    """(example, its unused steps) per test example; unused is computed when None."""
     if kind not in ("random", "linear"):
         raise ValueError(f"unknown baseline {kind!r}")
-    all_ids = library.step_ids()
-    used_sets = [(example.prefix, set(example.prefix)) for example in split.test_examples]
-    return [(prefix, used, [s for s in all_ids if s not in used]) for prefix, used in used_sets]
+    return zip(split.test_examples, unused_steps(split, library) if unused is None else unused)
 
 
 def baseline_predict(
-    kind: str, split: EvalSplit, library: StepLibrary, rng_seed: int
+    kind: str, split: EvalSplit, library: StepLibrary, rng_seed: int, unused: list | None = None
 ) -> list[list[int]]:
     """Ranked next-step predictions for the random or linear baseline.
 
-    random: a uniform shuffle of the steps not in the prefix. linear:
-    the continuation read off the best-matching order in
-    library.doc_sequences containing the prefix tail (skipping
-    already-used steps), padded with the remaining steps in random order;
-    falls back to random when no document contains the tail.
+    Each ranking lists every step not in the prefix: a head, then
+    min(3 - len(head), len(rest)) steps drawn uniformly without
+    replacement from the rest, then the rest in id order. The metrics
+    read only the top three. The head is empty for random; for linear it
+    is _linear_completion's continuation. unused is unused_steps(split,
+    library), when the caller already has it.
     """
     rng = random.Random(rng_seed)
     predictions = []
-    for prefix, used, remaining in _unused_steps(kind, split, library):
-        head = _linear_completion(prefix, used, library) if kind == "linear" else []
+    for example, remaining in _baseline_inputs(kind, split, library, unused):
+        head = _linear_completion(example.prefix, library) if kind == "linear" else []
         taken = set(head)
         rest = [step_id for step_id in remaining if step_id not in taken] if head else remaining
-        rng.shuffle(rest)
-        predictions.append(head + rest)
+        drawn = rng.sample(rest, min(max(3 - len(head), 0), len(rest)))
+        predictions.append(head + drawn + [step_id for step_id in rest if step_id not in drawn])
     return predictions
 
 
 def baseline_complete(
-    kind: str, split: EvalSplit, library: StepLibrary, rng_seed: int
+    kind: str, split: EvalSplit, library: StepLibrary, rng_seed: int, unused: list | None = None
 ) -> list[list[int]]:
     """Completion predictions for the baselines.
 
-    random: a random-length random continuation over unused steps.
-    linear: the rest of the best-matching order in library.doc_sequences,
-    falling back to random.
+    random: rng.randint(1, n) of the n unused steps, drawn uniformly
+    without replacement, or [] when every step is used. linear:
+    _linear_completion's continuation, falling back to random when it is
+    empty. unused is as for baseline_predict.
     """
     rng = random.Random(rng_seed)
     predictions = []
-    for prefix, used, remaining in _unused_steps(kind, split, library):
-        completion = _linear_completion(prefix, used, library) if kind == "linear" else []
-        if not completion:
-            rng.shuffle(remaining)
-            completion = remaining[: rng.randint(1, len(remaining)) if remaining else 0]
+    for example, remaining in _baseline_inputs(kind, split, library, unused):
+        completion = _linear_completion(example.prefix, library) if kind == "linear" else []
+        if not completion and remaining:
+            completion = rng.sample(remaining, rng.randint(1, len(remaining)))
         predictions.append(completion)
     return predictions
 
 
-def _linear_completion(prefix, used, library) -> list[int]:
-    """Unused steps after the prefix's last step in the first document with any, else []."""
-    tail = prefix[-1]
+def _linear_completion(prefix, library) -> list[int]:
+    """The steps after the prefix's last step, less those in the prefix, in the
+    first of library.doc_sequences that holds that step and leaves any; else []."""
+    tail, used = prefix[-1], set(prefix)
     for doc in library.doc_sequences:
         if tail in doc:
             continuation = [s for s in doc[doc.index(tail) + 1 :] if s not in used]

@@ -24,6 +24,7 @@ from scriptweave.corpus import (
     load_candidate_docs,
     load_raw_records,
     load_tasks,
+    near_duplicate_pairs,
     normalize_step,
     normalized_levenshtein,
 )
@@ -265,6 +266,97 @@ class TestNearDuplicate:
             assert is_near_duplicate(b, text)
         b = text[:-3] + "###"
         assert not is_near_duplicate(text, b)
+
+
+def oracle_pairs(texts):
+    return [
+        (i, j)
+        for i in range(len(texts))
+        for j in range(i + 1, len(texts))
+        if is_near_duplicate(texts[i], texts[j])
+    ]
+
+
+def oracle_deduplicate(steps):
+    kept, mapping = [], []
+    for step in steps:
+        for match, existing in enumerate(kept):
+            if is_near_duplicate(step, existing):
+                break
+        else:
+            match = len(kept)
+            kept.append(step)
+        mapping.append(match)
+    return kept, mapping
+
+
+@st.composite
+def _text_lists(draw):
+    """Texts of 1 to 60 characters over "abc " (limits 0 to 5): new texts,
+    exact repeats, copies of an earlier text with a few edits (substitutions
+    alone keep the length; edits of the last text make chains a ~ b ~ c
+    where a and c are not near-duplicates), and texts that repeat one
+    short piece."""
+    texts = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["new", "repeat", "edit", "substitute", "chain", "periodic"]))
+        if kind == "new" or not texts:
+            text = draw(st.text(alphabet="abc ", min_size=1, max_size=60))
+        elif kind == "repeat":
+            text = draw(st.sampled_from(texts))
+        elif kind == "periodic":
+            unit = draw(st.text(alphabet="abc ", min_size=1, max_size=6))
+            text = (unit * 60)[: draw(st.integers(1, 60))]
+        else:
+            chars = list(texts[-1] if kind == "chain" else draw(st.sampled_from(texts)))
+            for _ in range(draw(st.integers(1, 6))):
+                pos = draw(st.integers(0, len(chars) - 1))
+                ops = ["replace"] if kind == "substitute" else ["insert", "delete", "replace"]
+                op = draw(st.sampled_from(ops))
+                if op == "insert":
+                    chars.insert(pos, draw(st.sampled_from("abc ")))
+                elif op == "delete" and len(chars) > 1:
+                    del chars[pos]
+                else:
+                    chars[pos] = draw(st.sampled_from("abc "))
+            text = "".join(chars[:60])
+        texts.append(text)
+    return texts
+
+
+class TestNearDuplicatePairs:
+    """near_duplicate_pairs against the pairwise loops it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(texts=_text_lists())
+    def test_matches_the_pairwise_loops(self, texts):
+        pairs = oracle_pairs(texts)
+        assert near_duplicate_pairs(texts) == pairs
+        library = StepLibrary("t", [Step(i, t, t) for i, t in enumerate(texts)], [], [])
+        if pairs:
+            with pytest.raises(ValueError) as raised:
+                library.validate()
+            assert str(raised.value) == f"steps {pairs[0][0]} and {pairs[0][1]} are near-duplicates"
+        else:
+            library.validate()
+        assert deduplicate_with_mapping(texts) == oracle_deduplicate(texts)
+
+    def test_repeats_and_empty_texts(self):
+        texts = ["mix it", "", "mix it", "", "stir the pot", "mix it"]
+        assert near_duplicate_pairs(texts) == [(0, 2), (0, 5), (1, 3), (2, 5)]
+        assert deduplicate_with_mapping(texts) == (["mix it", "", "stir the pot"], [0, 1, 0, 1, 2, 0])
+        assert near_duplicate_pairs([]) == []
+
+    def test_a_text_dropped_for_one_kept_text_keeps_another(self):
+        # 20 characters allow 1 edit: a ~ b and b ~ c, but a and c are 2 edits apart
+        a, b, c = "a" * 20, "a" * 19 + "b", "a" * 18 + "bb"
+        assert near_duplicate_pairs([a, b, c]) == [(0, 1), (1, 2)]
+        assert deduplicate_with_mapping([a, b, c, b, c]) == ([a, c], [0, 0, 1, 0, 1])
+
+    def test_a_newline_only_adds_candidates(self):
+        # "b\nc" first occurs across the joint of "xab" and "cdx" in the joined texts
+        texts = ["xab", "cdx", "b\nc", "b\nc"]
+        assert near_duplicate_pairs(texts) == oracle_pairs(texts) == [(2, 3)]
 
 
 class TestBuildStepLibrary:

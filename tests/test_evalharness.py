@@ -19,6 +19,7 @@ from scriptweave.evalharness import (
     model_complete,
     model_predict_next,
     next_step_metrics,
+    unused_steps,
 )
 from scriptweave.grounding import GroundedSequence
 from scriptweave.pathmodel import train_path_model
@@ -252,10 +253,50 @@ class TestBaselines:
 
     def test_random_completion_uses_unused_steps(self):
         split = split_of(EvalExample((0, 1), {2}, {(2,)}))
-        (completion,) = baseline_complete("random", split, self.LIB, rng_seed=5)
-        assert 1 <= len(completion) <= 3
-        assert set(completion) <= {2, 3, 4}
-        assert len(set(completion)) == len(completion)
+        lengths = set()
+        for seed in range(40):
+            (completion,) = baseline_complete("random", split, self.LIB, rng_seed=seed)
+            assert 1 <= len(completion) <= 3
+            assert set(completion) <= {2, 3, 4}
+            assert len(set(completion)) == len(completion)
+            lengths.add(len(completion))
+        assert lengths == {1, 2, 3}
+
+    def test_ranking_is_head_then_three_drawn_then_the_rest_in_id_order(self):
+        library = with_docs(make_library(9), [0, 1, 2], [3, 4, 5, 6, 7])
+        cases = [
+            ("random", (4,), []),
+            ("linear", (1,), [2]),  # one head step, two drawn
+            ("linear", (3,), [4, 5, 6, 7]),  # a head of three or more draws nothing
+            ("linear", (8,), []),  # no document holds 8: random
+        ]
+        for seed in range(20):
+            for kind, prefix, head in cases:
+                split = split_of(EvalExample(prefix, {0}, {(0,)}))
+                (ranked,) = baseline_predict(kind, split, library, rng_seed=seed)
+                unused = [s for s in range(9) if s not in prefix]
+                assert sorted(ranked) == unused
+                assert ranked[: len(head)] == head
+                drawn = max(3 - len(head), 0)
+                rest = ranked[len(head) + drawn :]
+                assert rest == sorted(rest), (kind, prefix, seed, ranked)
+
+    def test_prefix_using_every_step_gives_empty_predictions(self):
+        library = with_docs(self.LIB, [0, 1, 2, 3, 4])
+        split = split_of(EvalExample((0, 1, 2, 3, 4), {0}, {(0,)}))
+        for kind in ("random", "linear"):
+            assert baseline_predict(kind, split, library, rng_seed=1) == [[]]
+            assert baseline_complete(kind, split, library, rng_seed=1) == [[]]
+
+    def test_precomputed_unused_steps_give_the_same_predictions(self):
+        library = with_docs(self.LIB, [0, 1, 2])
+        split = split_of(*(EvalExample(p, {0}, {(0,)}) for p in [(0,), (1, 2), (3,), (4, 0)]))
+        unused = unused_steps(split, library)
+        assert unused == [[1, 2, 3, 4], [0, 3, 4], [0, 1, 2, 4], [1, 2, 3]]
+        for kind in ("random", "linear"):
+            for baseline in (baseline_predict, baseline_complete):
+                assert baseline(kind, split, library, 3, unused) == baseline(kind, split, library, 3)
+        assert unused == unused_steps(split, library)  # the shared lists are not reordered
 
 
 class Seq:
