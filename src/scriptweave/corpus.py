@@ -107,45 +107,27 @@ def _max_near_duplicate_edits(longest: int) -> int:
     return edits
 
 
-def is_near_duplicate(a: str, b: str) -> bool:
-    """Exactly ``normalized_levenshtein(a, b) < DEDUP_DISTANCE``; a and b are str.
+def near_duplicate_pairs(texts: Sequence[str]) -> list[tuple[int, int]]:
+    """Every (i, j) with i < j and normalized_levenshtein(texts[i], texts[j])
+    < DEDUP_DISTANCE, in ascending order; the texts are str.
 
-    With limit the largest edit count that allows, two exact rejects come
-    first. The distance is at least the length difference. And an edit
+    With limit the largest edit count the longer text allows, an edit
     touches at most one of limit + 1 pieces of the longer text (the last
     takes the remainder), so within limit edits some piece is untouched and
-    is a substring of the other text; that test is why inputs must be str.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if not a:
-        return True  # both empty: normalized distance 0.0
-    limit = _max_near_duplicate_edits(len(a))
-    if len(a) - len(b) > limit:
-        return False
-    size = len(a) // (limit + 1)
-    if a[limit * size :] not in b:
-        for start in range(0, limit * size, size):
-            if a[start : start + size] in b:
-                break
-        else:
-            return False  # every piece is edited
-    return levenshtein(a, b) <= limit
+    is a substring of the other. Each text's pieces are found in the texts
+    joined by "\n" in order of length, within those at most limit
+    characters shorter (the distance is at least the length difference),
+    so the finder is never the shorter text; levenshtein confirms each pair
+    against the finder's limit. A text holding "\n" only adds candidates.
 
-
-def near_duplicate_pairs(texts: Sequence[str]) -> list[tuple[int, int]]:
-    """Every (i, j) with i < j and is_near_duplicate(texts[i], texts[j]), in ascending order.
-
-    Each text's pieces, cut as is_near_duplicate cuts the longer text, are
-    found in the texts joined by "\n" in order of length, within the span
-    of those at most limit characters shorter; is_near_duplicate confirms
-    each pair found. A text holding "\n" can only add candidates.
+    >>> near_duplicate_pairs(["mix it", "stir", "mix it"])
+    [(0, 2)]
     """
     order = sorted(range(len(texts)), key=lambda i: len(texts[i]))
     lengths = [len(texts[i]) for i in order]
     joined = "\n".join(texts[i] for i in order)
     starts = list(itertools.accumulate((n + 1 for n in lengths), initial=0))
-    candidates = set()
+    candidates = {}  # (i, j) -> the limit of its finder, the text that found it
     for i in order:
         text = texts[i]
         limit = _max_near_duplicate_edits(len(text)) if text else 0  # "" has no ratio
@@ -155,12 +137,13 @@ def near_duplicate_pairs(texts: Sequence[str]) -> list[tuple[int, int]]:
         hi = starts[bisect.bisect_right(lengths, len(text))]
         for piece in pieces:
             at = joined.find(piece, lo, hi)
-            while at >= 0:
+            while 0 <= at < hi:  # "" is also found at hi, in the first longer text
                 rank = bisect.bisect_right(starts, at) - 1
                 if order[rank] != i:
-                    candidates.add((min(i, order[rank]), max(i, order[rank])))
+                    candidates[min(i, order[rank]), max(i, order[rank])] = limit
                 at = joined.find(piece, starts[rank + 1], hi)  # one hit per text is enough
-    return sorted(pair for pair in candidates if is_near_duplicate(texts[pair[0]], texts[pair[1]]))
+    return sorted((i, j) for (i, j), limit in candidates.items()
+                  if levenshtein(texts[i], texts[j]) <= limit)
 
 
 def deduplicate_with_mapping(steps: Sequence[str]) -> tuple[list[str], list[int]]:
@@ -262,16 +245,12 @@ def build_step_library(
 
     kept, mapping = deduplicate_with_mapping(normalized)
     first_raw: dict[int, str] = {}
-    for i, kept_index in enumerate(mapping):
-        first_raw.setdefault(kept_index, raws[i])
-    steps = [Step(i, first_raw[i], text) for i, text in enumerate(kept)]
-
     doc_sequences: list[list[int]] = [[] for _ in docs]
-    for i, kept_index in enumerate(mapping):
-        seq = doc_sequences[origins[i]]
-        if kept_index not in seq:
-            seq.append(kept_index)
-
+    for raw, origin, kept_index in zip(raws, origins, mapping):
+        first_raw.setdefault(kept_index, raw)
+        if kept_index not in doc_sequences[origin]:
+            doc_sequences[origin].append(kept_index)
+    steps = [Step(i, first_raw[i], text) for i, text in enumerate(kept)]
     source_docs = [(title, float(rank)) for rank, (title, _) in enumerate(docs, start=1)]
     return StepLibrary(task.task_id, steps, source_docs, doc_sequences)
 
@@ -484,7 +463,7 @@ def _normalized_text(value) -> str:
     return text
 
 
-def _library(data: dict) -> StepLibrary:
+def library_from_json(data: dict) -> StepLibrary:
     steps = [
         Step(
             checked_int(row["step_id"]),
@@ -493,7 +472,7 @@ def _library(data: dict) -> StepLibrary:
         )
         for row in data["steps"]
     ]
-    return StepLibrary(
+    library = StepLibrary(
         checked_str(data["task_id"], "task_id"),
         steps,
         [
@@ -502,10 +481,6 @@ def _library(data: dict) -> StepLibrary:
         ],
         [[checked_int(s) for s in seq] for seq in data["doc_sequences"]],
     )
-
-
-def library_from_json(data: dict) -> StepLibrary:
-    library = _library(data)
     library.validate()
     return library
 

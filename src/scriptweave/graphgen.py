@@ -16,7 +16,7 @@ from .corpus import StepLibrary
 from .errors import EmptyInput
 # read_json stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_json, write_json  # noqa: F401
-from .pathmodel import END, START
+from .pathmodel import END, START, check_steps
 from .record import Record
 
 
@@ -61,7 +61,8 @@ def induce_graph(
     weight is its path count divided by the number of paths; edges with
     weight <= prune_threshold are removed, and afterwards any step not on
     a START-to-END route through surviving edges is dropped along with
-    its edges. Each kept step is labelled with its library text.
+    its edges. Each kept step is labelled with its library text; a path
+    step that is not in the library is UnknownStep.
     """
     paths = [list(path) for path in paths]
     if not paths:
@@ -70,6 +71,7 @@ def induce_graph(
 
     counts: Counter[tuple[int, int]] = Counter()
     for path in paths:
+        check_steps(path, library)
         tokens = [START] + path + [END]
         for a, b in zip(tokens, tokens[1:]):
             counts[(a, b)] += 1

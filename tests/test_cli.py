@@ -809,7 +809,8 @@ def _with_first_count(data, key, value):
 
 
 class TestMalformedArtifacts:
-    """A stage artifact that is malformed exits 2 with BadInput naming it, never a traceback."""
+    """A stage artifact that is malformed exits 2 with BadInput naming it, never a traceback;
+    a decoded step outside the grounded library exits 2 with UnknownStep."""
 
     @pytest.mark.parametrize(
         "stage, artifact, edit, fragment",
@@ -921,6 +922,29 @@ class TestMalformedArtifacts:
     def test_bad_artifact_reports_bad_input(
         self, finished_run, tmp_path, capsys, stage, artifact, edit, fragment
     ):
+        err, where = self.run_with_edited_artifact(
+            finished_run, tmp_path, capsys, stage, artifact, edit
+        )
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(where)
+        assert fragment in err["message"]
+
+    @pytest.mark.parametrize("steps", [[999], [-5], [-1, 0]], ids=["999", "minus-5", "start-0"])
+    def test_decoded_step_outside_library_reports_unknown_step(
+        self, finished_run, tmp_path, capsys, steps
+    ):
+        # -5 would index the library from its end and -1 would be read as START
+        err, _ = self.run_with_edited_artifact(finished_run, tmp_path, capsys, "graph",
+                                               DECODED_FILE, lambda row: {**row, "steps": steps})
+        assert err["error"] == "UnknownStep"
+        assert err["message"].startswith(f"step id {steps[0]} not in library")
+
+    @staticmethod
+    def run_with_edited_artifact(finished_run, tmp_path, capsys, stage, artifact, edit):
+        """Run stage on a copy of the finished run with artifact edited; it must exit 2.
+
+        Returns the stderr JSON and the prefix that names the edited file.
+        """
         out = tmp_path / "out"
         shutil.copytree(finished_run / "out", out)
         path = out / artifact
@@ -937,10 +961,7 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == stage]
         assert run_command(argv) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "BadInput"
-        assert err["message"].startswith(where)
-        assert fragment in err["message"]
+        return json.loads(capsys.readouterr().err), where
 
     def test_artifact_that_is_not_json_reports_bad_input(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"

@@ -17,7 +17,6 @@ from scriptweave.corpus import (
     build_step_library,
     corpus_statistics,
     deduplicate_with_mapping,
-    is_near_duplicate,
     levenshtein,
     library_from_json,
     library_to_json,
@@ -87,6 +86,11 @@ def oracle_levenshtein(a, b):
 def oracle_near_duplicate(a, b):
     longest = max(len(a), len(b))
     return longest == 0 or oracle_levenshtein(a, b) / longest < DEDUP_DISTANCE
+
+
+def near_duplicate(a, b):
+    """The pairwise test, through the kernel: near_duplicate_pairs on the two texts."""
+    return near_duplicate_pairs([a, b]) == [(0, 1)]
 
 
 class TestLevenshtein:
@@ -195,8 +199,8 @@ class TestNearDuplicate:
     def test_matches_row_oracle(self, pair):
         a, b = pair
         expected = oracle_near_duplicate(a, b)
-        assert is_near_duplicate(a, b) == expected
-        assert is_near_duplicate(b, a) == expected
+        assert near_duplicate(a, b) == expected
+        assert near_duplicate(b, a) == expected
 
     def test_threshold_at_every_length(self):
         # Substitutions at the front; and k characters added at one end and
@@ -213,8 +217,8 @@ class TestNearDuplicate:
                     (text[k:] + "y" * k, text),
                 ):
                     expected = oracle_near_duplicate(a, b)
-                    assert is_near_duplicate(a, b) == expected, (n, k, a, b)
-                    assert is_near_duplicate(b, a) == expected, (n, k, a, b)
+                    assert near_duplicate(a, b) == expected, (n, k, a, b)
+                    assert near_duplicate(b, a) == expected, (n, k, a, b)
 
     # The pigeonhole reject cuts the longer text into limit + 1 pieces of
     # len // (limit + 1) characters, the last taking the remainder. At 25
@@ -224,14 +228,14 @@ class TestNearDuplicate:
     def test_equal_texts(self):
         text = self.TEXT * 4
         for n in (1, 5, 9, 10, 25, 80):
-            assert is_near_duplicate(text[:n], text[:n])
+            assert near_duplicate(text[:n], text[:n])
 
     def test_short_texts_allow_no_edit(self):
         # under 10 characters limit is 0: one piece, the whole text
-        assert is_near_duplicate("mix it", "mix it")
+        assert near_duplicate("mix it", "mix it")
         for a, b in (("mix it", "mix at"), ("mix it", "mix its"), ("stir", "stirs"), ("a", "b")):
-            assert not is_near_duplicate(a, b)
-            assert not is_near_duplicate(b, a)
+            assert not near_duplicate(a, b)
+            assert not near_duplicate(b, a)
 
     def test_edits_on_piece_boundaries(self):
         text = self.TEXT
@@ -242,30 +246,30 @@ class TestNearDuplicate:
                 text[:pos] + "z" + text[pos:],  # insertion
             ):
                 expected = oracle_near_duplicate(text, b)
-                assert is_near_duplicate(text, b) == expected, (pos, b)
-                assert is_near_duplicate(b, text) == expected, (pos, b)
+                assert near_duplicate(text, b) == expected, (pos, b)
+                assert near_duplicate(b, text) == expected, (pos, b)
         # two edits, one on a boundary, leave the third piece untouched
         for pos, other in ((7, 20), (8, 20), (15, 3), (16, 3)):
             b = list(text)
             b[pos] = b[other] = "z"
-            assert is_near_duplicate(text, "".join(b)), (pos, other)
+            assert near_duplicate(text, "".join(b)), (pos, other)
         # one edit in each piece, the third on a remainder character
         b = text[:3] + "z" + text[4:11] + "z" + text[12:24] + "z"
         assert oracle_levenshtein(text, b) == 3
-        assert not is_near_duplicate(text, b)
+        assert not near_duplicate(text, b)
         # two of them stay within the limit
         b = text[:3] + "z" + text[4:24] + "z"
-        assert is_near_duplicate(text, b)
+        assert near_duplicate(text, b)
 
     def test_edits_in_the_remainder_characters(self):
         # 26 characters: limit 2, pieces [0:8], [8:16], [16:26]
         text = self.TEXT + "z"
         for b in (text[:-2] + "##", text[:17] + "#" + text[18:24] + "#" + text[25:]):
             assert oracle_levenshtein(text, b) == 2
-            assert is_near_duplicate(text, b)
-            assert is_near_duplicate(b, text)
+            assert near_duplicate(text, b)
+            assert near_duplicate(b, text)
         b = text[:-3] + "###"
-        assert not is_near_duplicate(text, b)
+        assert not near_duplicate(text, b)
 
 
 def oracle_pairs(texts):
@@ -273,7 +277,7 @@ def oracle_pairs(texts):
         (i, j)
         for i in range(len(texts))
         for j in range(i + 1, len(texts))
-        if is_near_duplicate(texts[i], texts[j])
+        if oracle_near_duplicate(texts[i], texts[j])
     ]
 
 
@@ -281,7 +285,7 @@ def oracle_deduplicate(steps):
     kept, mapping = [], []
     for step in steps:
         for match, existing in enumerate(kept):
-            if is_near_duplicate(step, existing):
+            if oracle_near_duplicate(step, existing):
                 break
         else:
             match = len(kept)
@@ -325,7 +329,7 @@ def _text_lists(draw):
 
 
 class TestNearDuplicatePairs:
-    """near_duplicate_pairs against the pairwise loops it replaced."""
+    """near_duplicate_pairs against pairwise loops over the textbook distance table."""
 
     @settings(max_examples=400, deadline=None)
     @given(texts=_text_lists())

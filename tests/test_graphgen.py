@@ -3,7 +3,7 @@
 import pytest
 
 from scriptweave.corpus import Step, StepLibrary
-from scriptweave.errors import EmptyInput
+from scriptweave.errors import EmptyInput, UnknownStep
 from scriptweave.graphgen import (
     GraphEdge,
     GraphScript,
@@ -88,6 +88,16 @@ class TestInduceGraph:
     def test_no_paths_rejected(self):
         with pytest.raises(EmptyInput):
             induce([])
+
+    @pytest.mark.parametrize(
+        "path, bad", [([999], 999), ([-5], -5), ([START, 0], START), ([0, END], END)],
+        ids=["999", "minus-5", "start", "end"],
+    )
+    def test_step_outside_library_rejected(self, path, bad):
+        # -5 would index the library from its end; START and END would join the virtual nodes
+        library = make_library(["boil water", "serve"])
+        with pytest.raises(UnknownStep, match=f"step id {bad} "):
+            induce_graph([[0, 1], path], 0.175, library)
 
 
 class TestClassifyRelations:
