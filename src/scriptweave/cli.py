@@ -49,7 +49,7 @@ from .decoder import (
     decoded_to_rows,
     load_decoded,
 )
-from .errors import BadConfig, DegenerateInput, EmptySequence, ScriptweaveError
+from .errors import BadConfig, BadInput, DegenerateInput, EmptySequence, ScriptweaveError
 from .evalharness import (
     baseline_complete,
     baseline_predict,
@@ -252,6 +252,14 @@ def _out_path(cfg: PipelineConfig, name: str) -> Path:
     return _artifact(cfg, name)
 
 
+def _library(cfg: PipelineConfig, name: str, task_id: str | None) -> corpuslib.StepLibrary:
+    """The library artifact name; BadInput when task_id is set and names another task."""
+    library = corpuslib.load_library(path := _artifact(cfg, name))
+    if task_id is not None and library.task_id != task_id:
+        raise BadInput(f"{path}: library of task {library.task_id!r}, not of task {task_id!r}")
+    return library
+
+
 def _select_task(cfg: PipelineConfig) -> corpuslib.TaskSpec:
     _require(cfg, "tasks_path")
     tasks = load_tasks(cfg.tasks_path)
@@ -293,7 +301,7 @@ def cmd_library(cfg: PipelineConfig) -> int:
 def cmd_ground(cfg: PipelineConfig) -> int:
     _require(cfg, "corpus_path")
     task = _select_task(cfg)
-    library = corpuslib.load_library(_artifact(cfg, LIBRARY_FILE))
+    library = _library(cfg, LIBRARY_FILE, task.task_id)
     records = [r for r in load_raw_records(cfg.corpus_path) if r.task_id == task.task_id]
 
     corpus_texts = library.texts() + [task.task_name]
@@ -338,7 +346,7 @@ def cmd_stats(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = train_path_model(sequences, library, cfg)
     path = _out_path(cfg, MODEL_FILE)
@@ -348,7 +356,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 
 def cmd_losses(cfg: PipelineConfig) -> int:
-    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = load_model(_artifact(cfg, MODEL_FILE), library)
     vectors = step_vectors(library, _provider(cfg, library.texts()))
@@ -403,7 +411,7 @@ def cmd_losses(cfg: PipelineConfig) -> int:
 
 
 def cmd_decode(cfg: PipelineConfig) -> int:
-    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     model = load_model(_artifact(cfg, MODEL_FILE), library)
     trie = build_prefix_trie(library)
     results = constrained_beam_search(model, trie, cfg)
@@ -414,7 +422,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 
 
 def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> int:
-    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE))]
     graph = classify_relations(induce_graph(paths, cfg.prune_threshold, library))
     json_path = _out_path(cfg, GRAPH_JSON_FILE)
@@ -430,7 +438,7 @@ def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig) -> int:
-    library = corpuslib.load_library(_artifact(cfg, GROUNDED_LIBRARY_FILE))
+    library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
     model = train_path_model(split.train, library, cfg)

@@ -158,7 +158,7 @@ def path_level_losses(
     # log-sum-exp with max shift for stability
     peak = max(scaled)
     logsum = peak + math.log(math.fsum(math.exp(s - peak) for s in scaled))
-    contrastive = -(scaled[0] - logsum)
+    contrastive = logsum - scaled[0]
     total = nll + cfg.alpha * contrastive
     return contrastive, total
 

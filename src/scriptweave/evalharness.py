@@ -48,10 +48,9 @@ def build_eval_splits(
     so both sides stay non-empty. Test examples are ordered by prefix for
     reproducibility.
     """
-    sequences = list(sequences)
-    if len(sequences) < 2:
-        raise TooFewSequences("need at least two sequences to split")
     order = list(sequences)
+    if len(order) < 2:
+        raise TooFewSequences("need at least two sequences to split")
     random.Random(rng_seed).shuffle(order)
     n_train = min(max(int(len(order) * train_fraction), 1), len(order) - 1)
     train, test = order[:n_train], order[n_train:]
@@ -112,14 +111,13 @@ def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -
     acc = dist_sum = norm_sum = 0.0
     for predicted, example in zip(predictions, split.test_examples):
         predicted = list(predicted)
-        best: tuple[int, float] | None = None
-        for gold in sorted(example.gold_completions):
+        best = None  # gold_completions is never empty, and its order does not change the minimum
+        for gold in example.gold_completions:
             distance = levenshtein(predicted, gold)
             longest = max(len(predicted), len(gold))
-            normalized = distance / longest if longest else 0.0
-            if best is None or (distance, normalized) < best:
-                best = (distance, normalized)
-        assert best is not None  # gold_completions is never empty
+            candidate = (distance, distance / longest if longest else 0.0)
+            if best is None or candidate < best:
+                best = candidate
         acc += 1.0 if best[0] == 0 else 0.0
         dist_sum += best[0]
         norm_sum += best[1]

@@ -125,14 +125,21 @@ def ground_labelled_sequence(
 def preprocess_asr(items: Sequence[str], cfg: PipelineConfig) -> list[str]:
     """Clean and re-chunk transcript items.
 
-    Items containing any stop word (matched case-insensitively on word
-    boundaries) are removed, then consecutive items are concatenated
-    left-to-right until each piece exceeds asr_min_words words. A short
-    trailing remainder is folded into the previous piece; when the whole
-    input is shorter than the minimum it becomes a single piece.
+    Items in which the tokens of any stop phrase occur consecutively are
+    removed: a substring test on space-joined tokens, padded with a space at
+    each end. Kept items are then concatenated left-to-right until each
+    piece exceeds asr_min_words words. A short trailing remainder is folded
+    into the previous piece; when the whole input is shorter than the
+    minimum it becomes a single piece.
+
+    >>> from scriptweave.cli import PipelineConfig
+    >>> cfg = PipelineConfig(stop_words=("like and subscribe",), asr_min_words=3)
+    >>> preprocess_asr(["Chop onions", "Like, and SUBSCRIBE!", "subscribe? no", "fry them"], cfg)
+    ['Chop onions subscribe? no fry them']
     """
-    stop_tokens = [tuple(tokenize(word)) for word in cfg.stop_words]
-    kept = [text for text in items if not _contains_stop_word(text, stop_tokens)]
+    phrases = [f" {' '.join(tokens)} " for tokens in map(tokenize, cfg.stop_words) if tokens]
+    padded = (f" {' '.join(tokenize(text))} " for text in items)
+    kept = [text for text, line in zip(items, padded) if not any(p in line for p in phrases)]
 
     pieces: list[str] = []
     buffer: list[str] = []
@@ -151,21 +158,6 @@ def preprocess_asr(items: Sequence[str], cfg: PipelineConfig) -> list[str]:
         else:
             pieces.append(remainder)
     return pieces
-
-
-def _contains_stop_word(text: str, stop_tokens: list[tuple[str, ...]]) -> bool:
-    tokens = tokenize(text)
-    for phrase in stop_tokens:
-        if not phrase:
-            continue
-        if len(phrase) == 1:
-            if phrase[0] in tokens:
-                return True
-        else:
-            span = len(phrase)
-            if any(tuple(tokens[i : i + span]) == phrase for i in range(len(tokens) - span + 1)):
-                return True
-    return False
 
 
 def ground_asr_sequence(

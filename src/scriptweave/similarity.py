@@ -58,17 +58,17 @@ class TfidfSimilarity:
     similarity(a, a) == 1.0 for any text with at least one token. embed()
     projects onto the fixed corpus vocabulary so vectors from different
     calls share one dimension; tokens outside the vocabulary contribute
-    nothing there.
+    nothing there. It keeps no vector and returns fresh read-only tuples.
 
-    Work is memoised for the life of the provider: each distinct text is
-    weighted once, and its L2 norm and unit vector are kept. Scores come in
-    rows. Every second text similarity() has been asked about is a column,
-    kept with its norm and in an inverted index (token -> column texts and
-    their weights). When the first text's row lacks the second, the whole
-    row is filled again against every known column, term at a time: one
-    product per posting, and an fsum only for a column that two or more
-    tokens hit. A repeated pair, or any pair of a filled row, is a
-    dictionary lookup. Scores use the same float operations as uncached
+    Each distinct text's weights and L2 norm are computed once and kept for
+    the life of the provider, one CLI stage, so the memo needs no bound.
+    Scores come in rows. Every second text similarity() has been asked about
+    is a column, kept with its norm and in an inverted index (token ->
+    column texts and their weights). When the first text's row lacks the
+    second, the whole row is filled again against every known column, term
+    at a time: one product per posting, and an fsum only for a column that
+    two or more tokens hit. A repeated pair, or any pair of a filled row, is
+    a dictionary lookup. Scores use the same float operations as uncached
     scoring, so every score is bit-identical to it in any call order.
 
     A row costs one score per column, so it pays only when each stage's
@@ -77,9 +77,6 @@ class TfidfSimilarity:
     none in losses, which only embeds. Grounding asks for one pair per
     call, so the benchmark's count of similarity() calls stays a count of
     pairs asked for (ROADMAP item 4).
-
-    Vectors returned by embed() are shared and read-only. A provider serves
-    one CLI stage, so the memo needs no bound.
     """
 
     def __init__(self, corpus_texts: Iterable[str]):
@@ -95,21 +92,17 @@ class TfidfSimilarity:
         self._unseen_idf = math.log((1 + n_docs) / (1 + 0)) + 1.0
         self._vocab = {token: i for i, token in enumerate(sorted(self._idf))}
         self._weighted: dict[str, tuple[dict[str, float], float]] = {}
-        self._vectors: dict[str, tuple[float, ...]] = {}
         self._rows: dict[str, dict[str, float]] = {}
         self._columns: dict[str, float] = {}  # every b asked about, and its norm
         self._index: dict[str, list[tuple[str, float]]] = {}
 
-    def _weights(self, text: str) -> dict[str, float]:
-        idf, unseen = self._idf, self._unseen_idf
-        tokens = self._tokens.pop(text) if text in self._tokens else tokenize(text)
-        return {t: count * idf.get(t, unseen) for t, count in Counter(tokens).items()}
-
-    def _memo_weights(self, text: str) -> tuple[dict[str, float], float]:
-        weights = self._weights(text)
-        entry = (weights, math.sqrt(math.fsum(w * w for w in weights.values())))
-        self._weighted[text] = entry
-        return entry
+    def _weighted_text(self, text: str) -> tuple[dict[str, float], float]:
+        if text not in self._weighted:
+            idf, unseen = self._idf, self._unseen_idf
+            tokens = self._tokens.pop(text) if text in self._tokens else tokenize(text)
+            weights = {t: count * idf.get(t, unseen) for t, count in Counter(tokens).items()}
+            self._weighted[text] = (weights, math.sqrt(math.fsum(w * w for w in weights.values())))
+        return self._weighted[text]
 
     def similarity(self, a: str, b: str) -> float:
         try:
@@ -117,7 +110,7 @@ class TfidfSimilarity:
         except KeyError:
             pass
         if b not in self._columns:
-            weights, self._columns[b] = self._weighted.get(b) or self._memo_weights(b)
+            weights, self._columns[b] = self._weighted_text(b)
             for token, weight in weights.items():
                 self._index.setdefault(token, []).append((b, weight))
         row = self._rows[a] = self._score_row(a)
@@ -125,7 +118,7 @@ class TfidfSimilarity:
 
     def _score_row(self, a: str) -> dict[str, float]:
         """a's scores against every column in the index."""
-        wa, norm_a = self._weighted.get(a) or self._memo_weights(a)
+        wa, norm_a = self._weighted_text(a)
         norms, index = self._columns, self._index
         row = dict.fromkeys(norms, 0.0)  # an empty text, or no shared token, scores 0.0
         postings = sorted(((index[t], w) for t, w in wa.items() if t in index),
@@ -160,23 +153,15 @@ class TfidfSimilarity:
                 row[column] = 1.0
         return row
 
-    def _memo_vector(self, text: str) -> tuple[float, ...]:
-        weights, _ = self._weighted.get(text) or self._memo_weights(text)
-        vec = [0.0] * len(self._vocab)
-        for token, weight in weights.items():
-            index = self._vocab.get(token)
-            if index is not None:
-                vec[index] = weight
-        norm = math.sqrt(math.fsum(x * x for x in vec))
-        vector = tuple(x / norm for x in vec) if norm > 0 else tuple(vec)
-        self._vectors[text] = vector
-        return vector
-
     def embed(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
         vectors = []
         for text in texts:
-            vec = self._vectors.get(text)
-            vectors.append(vec if vec is not None else self._memo_vector(text))
+            vec = [0.0] * len(self._vocab)
+            for token, weight in self._weighted_text(text)[0].items():
+                if token in self._vocab:
+                    vec[self._vocab[token]] = weight
+            norm = math.sqrt(math.fsum(x * x for x in vec))
+            vectors.append(tuple(x / norm for x in vec) if norm > 0 else tuple(vec))
         return vectors
 
 

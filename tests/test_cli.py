@@ -267,6 +267,18 @@ class TestPipeline:
         assert run_command(losses + ["--out-dir", str(capped)]) == 0
         assert (capped / LOSSES_FILE).read_bytes() != (default / LOSSES_FILE).read_bytes()
 
+    def test_losses_without_negatives_are_positive_zero(self, finished_run, tmp_path,
+                                                         monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == "losses"]
+        monkeypatch.setenv("SCRIPTWEAVE_NUM_NEGATIVES", "0")
+        assert run_command(argv) == 0
+        text = (out / LOSSES_FILE).read_text(encoding="utf-8")
+        assert "-0.0" not in text
+        rows = json.loads(text)["sequences"]
+        assert rows and all(row["contrastive"] == 0.0 and not row["methods"] for row in rows)
+
     def test_decoded_paths_use_grounded_library_ids(self, workspace):
         out = workspace / "out"
         run_pipeline(workspace, out)
@@ -661,6 +673,37 @@ class TestErrorReporting:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
+
+    def test_ground_refuses_another_tasks_library(self, workspace, capsys):
+        tasks = workspace / "tasks.jsonl"
+        write_jsonl_file(tasks, TASKS + [{"task_id": "t2", "task_name": "bike tire"}])
+        out = workspace / "out"
+        common = ["--seed", "7", "--tasks", str(tasks), "--out-dir", str(out)]
+        assert run_command(["library", "--task", "t1", "--docs", str(workspace / "docs.jsonl")]
+                           + common) == 0
+        capsys.readouterr()
+        ground = ["ground", "--corpus", str(workspace / "corpus.jsonl")] + common
+        assert run_command(ground + ["--task", "t2"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BadInput",
+            "message": f"{out / LIBRARY_FILE}: library of task 't1', not of task 't2'"}
+        assert not (out / GROUNDED_LIBRARY_FILE).exists()
+        assert run_command(ground + ["--task", "t1"]) == 0
+
+    @pytest.mark.parametrize("stage", ["train", "losses", "decode", "graph", "eval"])
+    def test_stage_refuses_a_task_the_grounded_library_is_not_for(
+        self, finished_run, tmp_path, capsys, stage
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == stage]
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_command(argv + ["--task", "t2"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BadInput",
+            "message": f"{out / GROUNDED_LIBRARY_FILE}: library of task 't1', not of task 't2'"}
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert run_command(argv + ["--task", "t1"]) == 0
 
     @pytest.mark.parametrize("row", [{"task_id": "", "task_name": "make lemonade"},
                                      {"task_id": "t1", "task_name": ""}], ids=["id", "name"])

@@ -316,6 +316,7 @@ class TestPathLevelLosses:
             np.array([1.0, 2.0]), np.array([2.0, 1.0]), [], nll=3.5, cfg=PipelineConfig()
         )
         assert contrastive == 0.0
+        assert math.copysign(1.0, contrastive) == 1.0  # +0.0, not -0.0
         assert total == 3.5
 
     def test_orthogonal_negative_worked_value(self):

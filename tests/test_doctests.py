@@ -15,3 +15,5 @@ def test_docstring_examples_pass():
         attempted[info.name] = result.attempted
     # levenshtein("kitten", "sitting") and near_duplicate_pairs(["mix it", "stir", "mix it"])
     assert attempted["scriptweave.corpus"] >= 2
+    # preprocess_asr dropping an item by a multi-word stop phrase
+    assert attempted["scriptweave.grounding"] >= 1

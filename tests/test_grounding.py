@@ -1,6 +1,8 @@
 """Grounding noisy videos onto the step library."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scriptweave.cli import PipelineConfig
 from scriptweave.corpus import RawSequenceRecord, SequenceItem, Step, StepLibrary, TaskSpec
@@ -19,6 +21,7 @@ from scriptweave.grounding import (
     task_keywords,
     video_passes_task_filter,
 )
+from scriptweave.similarity import tokenize
 
 
 DEFAULTS = PipelineConfig()
@@ -229,6 +232,35 @@ class TestGroundLabelled:
             ground_labelled_sequence(record, library, StubProvider(), DEFAULTS.k1)
 
 
+# Transcript-like text: words of a small vocabulary in mixed case, glued
+# directly or split by spaces, punctuation or a non-ASCII letter.
+_TRANSCRIPT_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["like", "and", "subscribe", "sub", "scribe", "a", "7"]).flatmap(
+            lambda word: st.sampled_from([word, word.upper(), word.capitalize()])),
+        st.sampled_from([" ", "  ", ",", "!", "-", "'", "\t", "\u00e9"]),
+    ),
+    max_size=8,
+).map("".join)
+
+
+def _two_branch_contains(text, stop_tokens):
+    """The stop-phrase test as two rules: a one-token phrase is any token of
+    the text, a longer one a window of consecutive tokens."""
+    tokens = tokenize(text)
+    for phrase in stop_tokens:
+        if not phrase:
+            continue
+        if len(phrase) == 1:
+            if phrase[0] in tokens:
+                return True
+        else:
+            span = len(phrase)
+            if any(tuple(tokens[i : i + span]) == phrase for i in range(len(tokens) - span + 1)):
+                return True
+    return False
+
+
 class TestPreprocessAsr:
     def test_removes_items_containing_stop_words(self):
         items = ["please subscribe to us", "crack the eggs into a bowl now ok friends"]
@@ -286,6 +318,24 @@ class TestPreprocessAsr:
 
     def test_all_items_removed_yields_no_pieces(self):
         assert preprocess_asr(["subscribe", "our channel"], DEFAULTS) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(items=st.lists(_TRANSCRIPT_TEXT, max_size=6),
+           stop_words=st.lists(_TRANSCRIPT_TEXT, max_size=4))
+    @example(items=["we like", "and subscribe"], stop_words=["Like and"])  # straddles two items
+    @example(items=["Like, and SUBSCRIBE!"], stop_words=["like and subscribe", ""])
+    @example(items=["likeand subscriber"], stop_words=["like", "and", "subscribe"])
+    def test_stop_phrase_rule_matches_the_two_branch_rule(self, items, stop_words):
+        cfg = PipelineConfig(asr_min_words=1, stop_words=tuple(stop_words))
+        no_stop_words = PipelineConfig(asr_min_words=1, stop_words=())
+        stop_tokens = [tuple(tokenize(word)) for word in stop_words]
+        kept = [text for text in items if not _two_branch_contains(text, stop_tokens)]
+        # Item by item, then the whole list, where a phrase may straddle two items.
+        for text in items:
+            expected = [text] if text in kept else []
+            assert preprocess_asr([text], cfg) == preprocess_asr(expected, no_stop_words)
+        assert preprocess_asr(items, cfg) == preprocess_asr(kept, no_stop_words)
+
 
 
 class TestGroundAsr:

@@ -403,7 +403,7 @@ class TestTfidfMemo:
         with pytest.raises(TypeError):
             vec[0] = 1.0
         (again,) = provider.embed(["add the sugar"])
-        assert again is vec
+        assert again == vec
 
 
 # Generous for a server on this host; the timeout tests set their own.
