@@ -13,9 +13,9 @@ from a shared output directory and writes its own artifacts there:
     eval      metrics.json, metrics.txt
 
 Settings merge with increasing precedence: built-in defaults, then a
-``key = value`` config file (values parsed as JSON, bare words kept as
-strings, full-line # comments allowed), then SCRIPTWEAVE_* environment
-variables, then command-line flags. A seed is required; given the same
+``key = value`` config file (full-line # comments allowed), then
+SCRIPTWEAVE_* environment variables, then command-line flags; all three give
+text that _parsed reads by one rule. A seed is required; given the same
 inputs, settings, and seed every artifact is byte-identical across runs.
 
 Each stage runs as its own process and computes with the standard
@@ -126,8 +126,8 @@ SETTINGS = {
 class PipelineConfig(Record):
     """Every setting in SETTINGS, by keyword, each defaulting to its entry there.
 
-    Every range check is made here, so that an out-of-range value fails as
-    BadConfig when the settings are merged, not mid-stage.
+    Every value given passes _checked here, so a CLI run and a library caller
+    meet the same checks, and a bad value fails as BadConfig, not mid-stage.
     """
 
     _fields = tuple(SETTINGS)
@@ -149,50 +149,56 @@ class PipelineConfig(Record):
         if unknown:
             raise TypeError(f"PipelineConfig got unknown settings {unknown}")
         for name, (_, default) in SETTINGS.items():
-            setattr(self, name, settings.get(name, default))
-        for names, valid, rule in self._RANGES:
-            for name in names:
-                value = getattr(self, name)
-                if not valid(value):
-                    raise BadConfig(f"invalid setting: {name} {rule.format(value)}")
+            setattr(self, name, _checked(name, settings[name]) if name in settings else default)
 
 
-_EXPECTED = {
-    int: "an integer", float: "a number", tuple: "a list of strings", str: "a string",
-}
+_EXPECTED = {int: "an integer", float: "a number", tuple: "a list of strings", str: "a string"}
 
 
-def _parse_setting(raw: str):
-    """JSON first; anything that does not parse stays a plain string."""
-    raw = raw.strip()
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
-def _coerce(key: str, value):
-    """value checked against the setting's type; null only where the default is None."""
-    if key not in SETTINGS:
-        raise BadConfig(f"unknown setting {key!r}")
+def _checked(key: str, value):
+    """value as setting key stores it (an int as a float where a number is due, a
+    list of strings as a tuple); BadConfig for a bool, a wrong type, a non-finite
+    number, a value out of range, or None where the default is not None."""
     kind, default = SETTINGS[key]
     if value is None and default is None:
         return None
     if kind is tuple:
         valid = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-    elif kind is float:
-        valid = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
-        valid = isinstance(value, kind) and not isinstance(value, bool)
-    if not valid:
+        valid = isinstance(value, (int, float) if kind is float else kind)
+    if not valid or isinstance(value, bool):
         raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {value!r}")
     if kind is float and not is_finite(value):
         raise BadConfig(f"setting {key!r} must be a finite number, got {value!r}")
-    return kind(value) if kind in (float, tuple) else value
+    value = kind(value) if kind in (float, tuple) else value
+    for names, test, rule in PipelineConfig._RANGES:
+        if key in names and not test(value):
+            raise BadConfig(f"invalid setting: {key} {rule.format(value)}")
+    return value
+
+
+def _parsed(key: str, text: str):
+    """Setting key's value from text, by one rule for flags, SCRIPTWEAVE_*
+    variables and config lines: the stripped text as JSON, else as it is; a
+    string setting keeps its text unless that is a JSON string or null.
+
+    >>> _parsed("task", "23521"), _parsed("seed", "7"), _parsed("task", "null")
+    ('23521', 7, None)
+    """
+    if key not in SETTINGS:
+        raise BadConfig(f"unknown setting {key!r}")
+    text = text.strip()
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    if SETTINGS[key][0] is str and not (value is None or isinstance(value, str)):
+        return text
+    return value
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Parse a ``key = value`` settings file into coerced values."""
+    """The parsed values of a ``key = value`` settings file; PipelineConfig checks them."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -210,30 +216,18 @@ def read_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if not key:
             raise BadConfig(f"{path}:{lineno}: empty setting name")
-        settings[key] = _coerce(key, _parse_setting(raw))
-    return settings
-
-
-def _env_settings() -> dict:
-    settings = {}
-    for key in SETTINGS:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            settings[key] = _coerce(key, _parse_setting(raw))
+        settings[key] = _parsed(key, raw)
     return settings
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge defaults, config file, environment, and flags (in that order). A
-    flag of a non-string setting is parsed as a config-file value is."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    merged.update(_env_settings())
-    for key, (kind, _) in SETTINGS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = _coerce(key, flag if kind is str else _parse_setting(flag))
+    """Defaults < config file < SCRIPTWEAVE_* variables < flags, each text read
+    by _parsed; PipelineConfig checks the merged values."""
+    merged = read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in SETTINGS:
+        for text in (os.environ.get(ENV_PREFIX + key.upper()), getattr(args, key, None)):
+            if text is not None:
+                merged[key] = _parsed(key, text)
     return PipelineConfig(**merged)
 
 
@@ -337,6 +331,8 @@ def cmd_ground(cfg: PipelineConfig) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig) -> int:
+    if cfg.task is not None:
+        _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     stats = corpus_statistics(sequences, frequency_threshold=cfg.frequency_threshold)
     path = _out_path(cfg, STATS_FILE)

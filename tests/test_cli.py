@@ -5,16 +5,21 @@ import json
 import os
 import shutil
 import socket
+import string
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scriptweave
 from conftest import EmbedHandler
 from scriptweave.cli import (
     DECODED_FILE,
+    ENV_PREFIX,
     GRAPH_DOT_FILE,
     GRAPH_JSON_FILE,
     GROUNDED_FILE,
@@ -30,6 +35,8 @@ from scriptweave.cli import (
     build_config,
     read_config_file,
     run_command,
+    _COMMON_FLAGS,
+    _STAGES,
     _parser,
 )
 from scriptweave.corpus import load_library
@@ -220,6 +227,23 @@ class TestPipeline:
         library = load_library(out / LIBRARY_FILE)
         assert library.task_id == "t2"
         assert library.texts() == ["remove wheel", "patch tube"]
+
+    @pytest.mark.parametrize("source", ["config file", "environment"])
+    def test_numeric_task_id_picks_its_task(self, workspace, monkeypatch, source):
+        """A CrossTask-style id such as 23521 names a task from every source."""
+        tasks = workspace / "tasks.jsonl"
+        write_jsonl_file(tasks, [{"task_id": "23521", "task_name": "make lemonade"},
+                                 {"task_id": "t2", "task_name": "bike tire"}])
+        out = workspace / "out"
+        argv = ["library", "--seed", "1", "--tasks", str(tasks),
+                "--docs", str(workspace / "docs.jsonl"), "--out-dir", str(out)]
+        if source == "config file":
+            (workspace / "task.cfg").write_text("task = 23521\n", encoding="utf-8")
+            argv += ["--config", str(workspace / "task.cfg")]
+        else:
+            monkeypatch.setenv("SCRIPTWEAVE_TASK", "23521")
+        assert run_command(argv) == 0
+        assert load_library(out / LIBRARY_FILE).task_id == "23521"
 
     def test_library_artifacts_are_loadable(self, workspace):
         out = workspace / "out"
@@ -466,6 +490,66 @@ class TestConfigMerging:
         with pytest.raises(BadConfig):
             build_config(self.parse(["stats"]))
 
+    def test_flag_text_is_parsed_like_the_other_sources(self):
+        assert build_config(self.parse(["stats", "--task", "null"])).task is None
+        assert build_config(self.parse(["stats", "--task", '"t1"'])).task == "t1"
+        assert build_config(self.parse(["stats", "--task", " 23521 "])).task == "23521"
+
+
+# A stage that takes each flagged setting's flag, and the flag.
+FLAGS = {dest: (stage, flag) for stage, (_, _, own) in _STAGES.items()
+         for flag, dest, _ in _COMMON_FLAGS + own if dest in SETTINGS}
+
+_WORDS = st.text(string.ascii_letters + string.digits + "_./-", min_size=1, max_size=8)
+# Setting texts as a user writes them: no newline, no leading "#".
+SETTING_TEXTS = st.tuples(
+    st.sampled_from(["", " "]),
+    st.one_of(
+        st.integers().map(str),
+        st.floats().map(json.dumps),
+        st.floats().map(repr),
+        _WORDS,
+        _WORDS.map(json.dumps),
+        st.just("null"),
+        st.lists(_WORDS, max_size=3).map(json.dumps),
+        st.from_regex(r"\A0?[0-9]{1,6}(\.[0-9]{1,2})?\Z"),
+        st.sampled_from(["true", "false", "", "[]", "{}", "[1, 2]"]),
+    ),
+    st.sampled_from(["", " "]),
+).map("".join)
+
+
+def merged_value(key, argv, env):
+    """repr of setting key as build_config merges it from argv and env alone,
+    or the BadConfig it raises."""
+    with mock.patch.dict(os.environ):
+        for name in [name for name in os.environ if name.startswith(ENV_PREFIX)]:
+            del os.environ[name]
+        os.environ.update(env)
+        try:
+            return repr(getattr(build_config(_parser().parse_args(argv)), key))
+        except BadConfig as exc:
+            return f"BadConfig: {exc}"
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sources")
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(SETTINGS)), text=SETTING_TEXTS)
+def test_the_three_sources_agree(config_dir, key, text):
+    """The same text gives a setting the same value, or the same BadConfig,
+    as a flag, as a SCRIPTWEAVE_* variable and as a config line."""
+    path = config_dir / "agree.cfg"
+    path.write_text(f"{key} = {text}\n", encoding="utf-8")
+    stage, flag = FLAGS.get(key, ("stats", None))
+    from_file = merged_value(key, [stage, "--config", str(path)], {})
+    assert merged_value(key, [stage], {ENV_PREFIX + key.upper(): text}) == from_file
+    if flag is not None:
+        assert merged_value(key, [stage, f"{flag}={text}"], {}) == from_file
+
 
 # One out-of-range value per range-checked setting, and the message it gives.
 OUT_OF_RANGE = [
@@ -565,7 +649,7 @@ class TestConfigFileParsing:
             path = tmp_path / "s.cfg"
             path.write_text(line + "\n")
             with pytest.raises(BadConfig):
-                read_config_file(path)
+                PipelineConfig(**read_config_file(path))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(BadConfig):
@@ -578,7 +662,7 @@ class TestConfigFileParsing:
         for line in ("k1 = null", "stop_words = null", "out_dir = null"):
             path.write_text(line + "\n")
             with pytest.raises(BadConfig, match="got None"):
-                read_config_file(path)
+                PipelineConfig(**read_config_file(path))
 
 
 class TestErrorReporting:
@@ -690,7 +774,7 @@ class TestErrorReporting:
         assert not (out / GROUNDED_LIBRARY_FILE).exists()
         assert run_command(ground + ["--task", "t1"]) == 0
 
-    @pytest.mark.parametrize("stage", ["train", "losses", "decode", "graph", "eval"])
+    @pytest.mark.parametrize("stage", ["stats", "train", "losses", "decode", "graph", "eval"])
     def test_stage_refuses_a_task_the_grounded_library_is_not_for(
         self, finished_run, tmp_path, capsys, stage
     ):

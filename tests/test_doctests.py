@@ -17,3 +17,5 @@ def test_docstring_examples_pass():
     assert attempted["scriptweave.corpus"] >= 2
     # preprocess_asr dropping an item by a multi-word stop phrase
     assert attempted["scriptweave.grounding"] >= 1
+    # _parsed keeping a numeric task id a string
+    assert attempted["scriptweave.cli"] >= 1

@@ -229,3 +229,17 @@ class TestPipelineConfig:
     def test_equality_compares_the_settings(self):
         assert PipelineConfig() == PipelineConfig()
         assert PipelineConfig(seed=1) != PipelineConfig(seed=2)
+
+    @pytest.mark.parametrize("key, value", [
+        ("order", 2.0), ("beam_width", True), ("max_steps", float("inf")), ("k1", "0.5"),
+        ("k1", None), ("stop_words", "subscribe"), ("seed", "7"),
+    ])
+    def test_ill_typed_value_is_bad_config_naming_its_key(self, key, value):
+        """A library caller meets the checks a CLI run does."""
+        with pytest.raises(BadConfig, match=f"^setting '{key}' must be "):
+            PipelineConfig(**{key: value})
+
+    def test_values_are_stored_as_their_setting_types(self):
+        cfg = PipelineConfig(k1=0, stop_words=["outro", "like and subscribe"])
+        assert type(cfg.k1) is float and cfg.k1 == 0.0
+        assert cfg.stop_words == ("outro", "like and subscribe")
