@@ -20,12 +20,14 @@ inputs, settings, and seed every artifact is byte-identical across runs.
 
 Each stage runs as its own process and computes with the standard
 library only; the HTTP client is imported inside the embedding client, so
-only a stage with embedding_url set loads it.
+only a stage with embedding_url set loads it. main() ends that process
+without tearing the interpreter down; run_command never ends one.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -190,7 +192,7 @@ def _parsed(key: str, text: str):
     text = text.strip()
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
         return text
     if SETTINGS[key][0] is str and not (value is None or isinstance(value, str)):
         return text
@@ -531,7 +533,24 @@ def run_command(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """Run the stage sys.argv names, then end the process with its exit code.
+
+    Once run_command returns, the exit handlers run, stdout and stderr are
+    flushed, and os._exit leaves without the interpreter's teardown of its
+    modules and objects, which no stage can observe and which costs each
+    stage several milliseconds. os._exit would not wait for a thread; no
+    stage starts one. An exception that escapes run_command, or a stream
+    that cannot be flushed (None, closed, or a broken pipe), ends through the
+    interpreter as usual.
+    """
+    code = run_command(sys.argv[1:])
+    atexit._run_exitfuncs()  # clears the handlers it runs, so none runs twice
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, ValueError, OSError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def read_json(path: str | Path):
     """Parse a JSON file; one that is not UTF-8 JSON raises BadInput naming path."""
     try:
         return json.loads(_read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise BadInput(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -64,7 +64,7 @@ def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise BadInput(f"{path}:{lineno}: not valid JSON: {exc}") from None
         rows.append((lineno, row))
     return rows

@@ -154,14 +154,17 @@ class TfidfSimilarity:
         return row
 
     def embed(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
+        vocab = self._vocab
         vectors = []
         for text in texts:
-            vec = [0.0] * len(self._vocab)
-            for token, weight in self._weighted_text(text)[0].items():
-                if token in self._vocab:
-                    vec[self._vocab[token]] = weight
-            norm = math.sqrt(math.fsum(x * x for x in vec))
-            vectors.append(tuple(x / norm for x in vec) if norm > 0 else tuple(vec))
+            vec = [0.0] * len(vocab)
+            # Only in-vocabulary tokens are nonzero, and fsum is exact, so
+            # their norm is the whole vector's.
+            known = [(vocab[t], w) for t, w in self._weighted_text(text)[0].items() if t in vocab]
+            norm = math.sqrt(math.fsum(w * w for _, w in known))
+            for i, weight in known:
+                vec[i] = weight / norm
+            vectors.append(tuple(vec))
         return vectors
 
 
@@ -201,7 +204,7 @@ class HttpEmbeddingProvider:
         try:
             data = json.loads(body)
             vectors = [_parse_vector(v) for v in data["vectors"]]
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise EmbeddingServiceError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(texts):
             raise EmbeddingServiceError(

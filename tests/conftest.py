@@ -20,7 +20,7 @@ class EmbedHandler(BaseHTTPRequestHandler):
     """Embeds each text as [len(tokens), sum of token lengths]."""
 
     mode = "ok"
-    payload = None  # the vector served for every text in "payload" mode
+    payload = None  # the vector served for every text in "payload" mode, the body in "raw"
     received: list[str] = []
 
     def do_POST(self):
@@ -40,6 +40,8 @@ class EmbedHandler(BaseHTTPRequestHandler):
             body = json.dumps({"vectors": [[1.0, 2.0], [1.0]][: len(texts)]}).encode()
         elif self.mode == "missing_key":
             body = json.dumps({"embeddings": []}).encode()
+        elif self.mode == "raw":
+            body = self.payload
         elif self.mode == "payload":
             body = json.dumps({"vectors": [self.payload for _ in texts]}).encode()
         elif self.mode == "wider":

@@ -1,6 +1,7 @@
 """Command-line pipeline: wiring, configuration, and error reporting."""
 
 import argparse
+import inspect
 import json
 import os
 import shutil
@@ -103,6 +104,10 @@ VIDEOS = [
         ],
     },
 ]
+
+
+# JSON text nested too deeply for Python's parser, which raises RecursionError on it.
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def write_jsonl_file(path, rows):
@@ -447,6 +452,114 @@ class TestImportFootprint:
                               env={**os.environ, "PYTHONPATH": path}, timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == ["scriptweave", "scriptweave.errors"]
+
+
+def run_cli_process(args, script=None, stdout=subprocess.PIPE):
+    """python -m scriptweave.cli args, or python -c script args, in a fresh process with
+    stdout and stderr piped and PYTHONUNBUFFERED unset, so both stay buffered until flushed."""
+    src = str(Path(scriptweave.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    head = ["-c", script] if script else ["-m", "scriptweave.cli"]
+    return subprocess.run([sys.executable, *head, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
+
+
+class TestProcessExit:
+    """How a stage process ends: its exit code, its flushed output and its exit
+    handlers; importing scriptweave.cli changes how no other program ends."""
+
+    def test_stage_prints_and_exits_0(self, finished_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        done = run_cli_process(["stats", "--seed", "7", "--out-dir", str(out)])
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"wrote {out / STATS_FILE}\n", "")
+
+    def test_stage_error_exits_2_with_one_json_object(self, tmp_path):
+        done = run_cli_process(["train", "--seed", "7", "--out-dir", str(tmp_path)])
+        assert (done.returncode, done.stdout) == (2, "")
+        missing = tmp_path / GROUNDED_LIBRARY_FILE
+        assert json.loads(done.stderr) == {"error": "MissingArtifact",
+                                           "message": f"missing artifact: {missing}"}
+
+    def test_help_exits_0_and_unknown_command_exits_2(self):
+        done = run_cli_process(["--help"])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: scriptweave")
+        assert "frobnicate" not in done.stdout
+        done = run_cli_process(["frobnicate"])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: scriptweave")
+        assert "invalid choice: 'frobnicate'" in done.stderr
+
+    def test_exit_handler_runs_once(self, tmp_path):
+        argv = ["scriptweave", "train", "--seed", "7", "--out-dir", str(tmp_path)]
+        script = ("import atexit, sys\n"
+                  "from scriptweave.cli import main\n"
+                  "atexit.register(print, 'handler ran')\n"
+                  f"sys.argv = {argv!r}\n"
+                  "main()\n")
+        done = run_cli_process([], script)
+        assert (done.returncode, done.stdout) == (2, "handler ran\n")
+        assert json.loads(done.stderr)["error"] == "MissingArtifact"
+
+    def test_exception_escaping_run_command_gives_a_traceback_and_exit_1(self):
+        script = ("import atexit, sys\n"
+                  "import scriptweave.cli as cli\n"
+                  "def fail(argv):\n"
+                  "    raise RuntimeError('escaped')\n"
+                  "cli.run_command = fail\n"
+                  "atexit.register(print, 'handler ran')\n"
+                  "sys.argv = ['scriptweave', 'stats', '--seed', '7']\n"
+                  "cli.main()\n")
+        done = run_cli_process([], script)
+        assert (done.returncode, done.stdout) == (1, "handler ran\n")
+        assert done.stderr.startswith("Traceback (most recent call last):")
+        assert done.stderr.endswith("RuntimeError: escaped\n")
+
+    def test_missing_stdout_exits_as_before(self):
+        # Python sets sys.stdout to None when it starts with file descriptor 1 closed.
+        script = ("import sys\n"
+                  "from scriptweave.cli import main\n"
+                  "sys.stdout = None\n"
+                  "sys.argv = ['scriptweave', '--help']\n"
+                  "main()\n")
+        done = run_cli_process([], script)
+        assert done.returncode == 0
+        assert done.stderr.startswith("usage: scriptweave")
+
+    def test_broken_pipe_is_reported_by_the_interpreter(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_cli_process(["--help"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 120
+        assert done.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_import_leaves_another_programs_exit_alone(self):
+        script = ("import atexit, sys\n"
+                  "import scriptweave.cli\n"
+                  "atexit.register(print, 'handler ran')\n"
+                  "sys.exit(3)\n")
+        done = run_cli_process([], script)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "handler ran\n", "")
+
+    def test_import_leaves_a_failing_pytest_run_failing(self, tmp_path):
+        (tmp_path / "test_fails.py").write_text(
+            "import scriptweave.cli\n\ndef test_fails():\n    assert False\n", encoding="utf-8")
+        done = run_cli_process(["-q", "-p", "no:cacheprovider", str(tmp_path)],
+                               "import sys, pytest; sys.exit(pytest.main(sys.argv[1:]))")
+        assert done.returncode == 1, done.stdout
+        assert "1 failed" in done.stdout
+
+    def test_only_main_ends_the_process(self):
+        package = Path(scriptweave.__file__).parent
+        calls = {path.name: path.read_text(encoding="utf-8").count("os._exit(")
+                 for path in package.glob("*.py")}
+        assert {name: n for name, n in calls.items() if n} == {"cli.py": 1}
+        assert "os._exit(" in inspect.getsource(scriptweave.cli.main)
 
 
 class TestConfigMerging:
@@ -915,6 +1028,31 @@ class TestErrorReporting:
         assert err["error"] == "BadInput"
         assert err["message"].startswith(f"{docs}:{len(DOCS) + 1}:")
 
+    def test_deeply_nested_docs_line_reports_bad_input(self, workspace, capsys):
+        docs = workspace / "docs.jsonl"
+        docs.write_text(docs.read_text(encoding="utf-8") + DEEP + "\n", encoding="utf-8")
+        code = run_command(["library", "--seed", "1", "--tasks", str(workspace / "tasks.jsonl"),
+                            "--docs", str(docs), "--out-dir", str(workspace / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(f"{docs}:{len(DOCS) + 1}: not valid JSON: ")
+
+    def test_deeply_nested_seed_stays_text(self, tmp_path, capsys):
+        text = "[" * 100_000
+        assert run_command(["stats", "--seed", text, "--out-dir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BadConfig", "message": f"setting 'seed' must be an integer, got {text!r}"}
+
+    def test_deeply_nested_task_stays_text(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        text = "[" * 100_000
+        assert run_command(["stats", "--seed", "7", "--out-dir", str(out), "--task", text]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BadInput",
+            "message": f"{out / GROUNDED_LIBRARY_FILE}: library of task 't1', not of task {text!r}"}
+
 
 def _without(value, key):
     value = dict(value)
@@ -1089,6 +1227,17 @@ class TestMalformedArtifacts:
         (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == stage]
         assert run_command(argv) == 2
         return json.loads(capsys.readouterr().err), where
+
+    def test_deeply_nested_artifact_reports_bad_input(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        (out / GROUNDED_LIBRARY_FILE).write_text(DEEP, encoding="utf-8")
+        (argv,) = [argv for argv in pipeline_argvs(finished_run, out) if argv[0] == "train"]
+        capsys.readouterr()
+        assert run_command(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"].startswith(f"{out / GROUNDED_LIBRARY_FILE}: not valid JSON: ")
 
     def test_artifact_that_is_not_json_reports_bad_input(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"

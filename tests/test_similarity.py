@@ -242,6 +242,28 @@ _CALLS = st.lists(
 )
 
 
+def dense_embed(provider, text):
+    """The dense formula embed() once used, kept as the oracle: every vocabulary
+    component, the norm summed over all of them, and every component divided."""
+    vec = [0.0] * len(provider._vocab)
+    for token, weight in provider._weighted_text(text)[0].items():
+        if token in provider._vocab:
+            vec[provider._vocab[token]] = weight
+    norm = math.sqrt(math.fsum(x * x for x in vec))
+    return tuple(x / norm for x in vec) if norm > 0 else tuple(vec)
+
+
+class TestTfidfEmbedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(_TEXTS, min_size=1, max_size=5), texts=st.lists(_TEXTS, max_size=6))
+    @example(corpus=CORPUS, texts=["the sugar the sugar sugar", "zzqx widget", "", "add sugar"])
+    def test_equals_the_dense_formula_bit_for_bit(self, corpus, texts):
+        provider = TfidfSimilarity(corpus)
+        oracle = TfidfSimilarity(corpus)
+        for vec, text in zip(provider.embed(texts), texts, strict=True):
+            assert [x.hex() for x in vec] == [x.hex() for x in dense_embed(oracle, text)]
+
+
 # A small pool, so generated call sequences repeat pairs: overlapping texts,
 # texts disjoint from the rest, empty and punctuation-only texts, and texts
 # with identical weights in another word order.
@@ -434,6 +456,12 @@ class TestHttpEmbeddingProvider:
         provider = HttpEmbeddingProvider(embed_server, timeout=0.2)
         with pytest.raises(EmbeddingServiceError):
             provider.embed(["anything"])
+
+    def test_deeply_nested_body_is_a_hard_error(self, embed_server):
+        EmbedHandler.mode = "raw"
+        EmbedHandler.payload = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(EmbeddingServiceError, match="malformed embedding response"):
+            HttpEmbeddingProvider(embed_server, TIMEOUT).embed(["x"])
 
     def test_malformed_body_is_a_hard_error(self, embed_server):
         EmbedHandler.mode = "garbage"
