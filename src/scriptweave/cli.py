@@ -20,8 +20,9 @@ inputs, settings, and seed every artifact is byte-identical across runs.
 
 Each stage runs as its own process and computes with the standard
 library only; the HTTP client is imported inside the embedding client, so
-only a stage with embedding_url set loads it. main() ends that process
-without tearing the interpreter down; run_command never ends one.
+only a stage with embedding_url set loads it. A stage function returns
+nothing: run_command gives the exit code (0, or 2 on an error) and never
+ends the process; main() ends it without tearing the interpreter down.
 """
 
 from __future__ import annotations
@@ -95,33 +96,44 @@ METRICS_JSON_FILE = "metrics.json"
 METRICS_TEXT_FILE = "metrics.txt"
 
 
+# A setting's range: the test its value must pass, and the rule a failing value breaks.
+UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1], got {}")
+AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+POSITIVE = (lambda v: v > 0, "must be positive")
+OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be strictly between 0 and 1")
+
 # Every setting: the type a config file, the environment or a flag must
-# give it, and its default (None: unset).
+# give it, its default (None: unset) and its range (None: any value).
 SETTINGS = {
-    "tasks_path": (str, None), "docs_path": (str, None), "corpus_path": (str, None),
-    "out_dir": (str, "out"), "seed": (int, None), "task": (str, None),
-    "embedding_url": (str, None), "embedding_timeout": (float, 10.0),
+    "tasks_path": (str, None, None), "docs_path": (str, None, None),
+    "corpus_path": (str, None, None), "out_dir": (str, "out", None),
+    "seed": (int, None, None), "task": (str, None, None), "embedding_url": (str, None, None),
+    "embedding_timeout": (float, 10.0, POSITIVE),
     # Document matching: a title must contain keyword_threshold of the
     # task-name keywords; when fewer than top_m_docs titles pass, the filter
     # is re-run at relaxed_keyword_threshold.
-    "top_m_docs": (int, 10), "keyword_threshold": (float, 0.85),
-    "relaxed_keyword_threshold": (float, 0.75),
+    "top_m_docs": (int, 10, AT_LEAST_ONE), "keyword_threshold": (float, 0.85, UNIT),
+    "relaxed_keyword_threshold": (float, 0.75, UNIT),
     # Grounding: k1 gates annotation matches, k2 gates whole narrated videos
     # by title similarity, and k3 gates individual transcript pieces.
-    "k1": (float, 0.35), "k2": (float, 0.75), "k3": (float, 0.40),
-    "asr_min_words": (int, 10), "stop_words": (tuple, ("subscribe", "channel", "sponsor")),
+    "k1": (float, 0.35, UNIT), "k2": (float, 0.75, UNIT), "k3": (float, 0.40, UNIT),
+    "asr_min_words": (int, 10, AT_LEAST_ONE),
+    "stop_words": (tuple, ("subscribe", "channel", "sponsor"), None),
     # corpus statistics: a successor is frequent when its pair occurs in more
     # than frequency_threshold videos
-    "frequency_threshold": (int, 10),
+    "frequency_threshold": (int, 10, NON_NEGATIVE),
     # path model
-    "order": (int, 2), "smoothing_lambda": (float, 0.1),
+    "order": (int, 2, AT_LEAST_ONE), "smoothing_lambda": (float, 0.1, NON_NEGATIVE),
     # losses
-    "epoch": (int, 0), "num_negatives": (int, 3), "max_shuffle_attempts": (int, 100),
-    "temperature": (float, 0.1), "alpha": (float, 1.0),
-    # decode, losses, eval (max_steps unset: twice the library size) / graph
-    "beam_width": (int, 40), "max_steps": (int, None), "prune_threshold": (float, 0.175),
+    "epoch": (int, 0, NON_NEGATIVE), "num_negatives": (int, 3, NON_NEGATIVE),
+    "max_shuffle_attempts": (int, 100, AT_LEAST_ONE),
+    "temperature": (float, 0.1, POSITIVE), "alpha": (float, 1.0, NON_NEGATIVE),
+    # decode, losses, eval (max_steps unset: V, the longest repeat-free path) / graph
+    "beam_width": (int, 40, AT_LEAST_ONE), "max_steps": (int, None, NON_NEGATIVE),
+    "prune_threshold": (float, 0.175, UNIT),
     # evaluation: the share of sequences, split by video, that train the evaluated model
-    "train_fraction": (float, 0.40),
+    "train_fraction": (float, 0.40, OPEN_UNIT),
 }
 
 
@@ -133,25 +145,19 @@ class PipelineConfig(Record):
     """
 
     _fields = tuple(SETTINGS)
-    # (settings, the test each value must pass, the rule a failing value breaks)
-    _RANGES = (
-        (("keyword_threshold", "relaxed_keyword_threshold", "k1", "k2", "k3", "prune_threshold"),
-         lambda v: 0.0 <= v <= 1.0, "must be in [0, 1], got {}"),
-        (("top_m_docs", "asr_min_words", "order", "beam_width", "max_shuffle_attempts"),
-         lambda v: v >= 1, "must be at least 1"),
-        (("smoothing_lambda", "num_negatives", "alpha", "epoch", "frequency_threshold"),
-         lambda v: v >= 0, "must be non-negative"),
-        (("max_steps",), lambda v: v is None or v >= 0, "must be non-negative"),
-        (("temperature", "embedding_timeout"), lambda v: v > 0, "must be positive"),
-        (("train_fraction",), lambda v: 0.0 < v < 1.0, "must be strictly between 0 and 1"),
-    )
 
     def __init__(self, **settings):
         unknown = sorted(settings.keys() - SETTINGS.keys())
         if unknown:
             raise TypeError(f"PipelineConfig got unknown settings {unknown}")
-        for name, (_, default) in SETTINGS.items():
+        for name, (_, default, _) in SETTINGS.items():
             setattr(self, name, _checked(name, settings[name]) if name in settings else default)
+
+
+def _shown(value) -> str:
+    """repr(value) for a message: in full up to 80 characters, else its start and '...'."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of strings", str: "a string"}
@@ -161,7 +167,7 @@ def _checked(key: str, value):
     """value as setting key stores it (an int as a float where a number is due, a
     list of strings as a tuple); BadConfig for a bool, a wrong type, a non-finite
     number, a value out of range, or None where the default is not None."""
-    kind, default = SETTINGS[key]
+    kind, default, rule = SETTINGS[key]
     if value is None and default is None:
         return None
     if kind is tuple:
@@ -169,13 +175,12 @@ def _checked(key: str, value):
     else:
         valid = isinstance(value, (int, float) if kind is float else kind)
     if not valid or isinstance(value, bool):
-        raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {value!r}")
+        raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {_shown(value)}")
     if kind is float and not is_finite(value):
         raise BadConfig(f"setting {key!r} must be a finite number, got {value!r}")
     value = kind(value) if kind in (float, tuple) else value
-    for names, test, rule in PipelineConfig._RANGES:
-        if key in names and not test(value):
-            raise BadConfig(f"invalid setting: {key} {rule.format(value)}")
+    if rule and not rule[0](value):
+        raise BadConfig(f"invalid setting: {key} {rule[1].format(value)}")
     return value
 
 
@@ -188,7 +193,7 @@ def _parsed(key: str, text: str):
     ('23521', 7, None)
     """
     if key not in SETTINGS:
-        raise BadConfig(f"unknown setting {key!r}")
+        raise BadConfig(f"unknown setting {_shown(key)}")
     text = text.strip()
     try:
         value = json.loads(text)
@@ -213,7 +218,7 @@ def read_config_file(path: str | Path) -> dict:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise BadConfig(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+            raise BadConfig(f"{path}:{lineno}: expected 'key = value', got {_shown(stripped)}")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         if not key:
@@ -252,7 +257,8 @@ def _library(cfg: PipelineConfig, name: str, task_id: str | None) -> corpuslib.S
     """The library artifact name; BadInput when task_id is set and names another task."""
     library = corpuslib.load_library(path := _artifact(cfg, name))
     if task_id is not None and library.task_id != task_id:
-        raise BadInput(f"{path}: library of task {library.task_id!r}, not of task {task_id!r}")
+        raise BadInput(f"{path}: library of task {_shown(library.task_id)}, "
+                       f"not of task {_shown(task_id)}")
     return library
 
 
@@ -268,7 +274,7 @@ def _select_task(cfg: PipelineConfig) -> corpuslib.TaskSpec:
     for task in tasks:
         if task.task_id == cfg.task:
             return task
-    raise BadConfig(f"task {cfg.task!r} not found in {cfg.tasks_path}")
+    raise BadConfig(f"task {_shown(cfg.task)} not found in {cfg.tasks_path}")
 
 
 def _provider(cfg: PipelineConfig, corpus_texts):
@@ -281,7 +287,7 @@ def _provider(cfg: PipelineConfig, corpus_texts):
 # Subcommands
 
 
-def cmd_library(cfg: PipelineConfig) -> int:
+def cmd_library(cfg: PipelineConfig) -> None:
     _require(cfg, "docs_path")
     task = _select_task(cfg)
     docs = load_candidate_docs(cfg.docs_path)
@@ -291,10 +297,9 @@ def cmd_library(cfg: PipelineConfig) -> int:
     path = _out_path(cfg, LIBRARY_FILE)
     corpuslib.save_library(library, path)
     print(f"wrote {path} ({len(library)} steps from {len(ranked)} documents)")
-    return 0
 
 
-def cmd_ground(cfg: PipelineConfig) -> int:
+def cmd_ground(cfg: PipelineConfig) -> None:
     _require(cfg, "corpus_path")
     task = _select_task(cfg)
     library = _library(cfg, LIBRARY_FILE, task.task_id)
@@ -329,10 +334,9 @@ def cmd_ground(cfg: PipelineConfig) -> int:
     save_grounded(grounded, seq_path)
     print(f"wrote {lib_path} ({len(library)} steps)")
     print(f"wrote {seq_path} ({len(grounded)} sequences, {skipped} videos skipped)")
-    return 0
 
 
-def cmd_stats(cfg: PipelineConfig) -> int:
+def cmd_stats(cfg: PipelineConfig) -> None:
     if cfg.task is not None:
         _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
@@ -340,20 +344,18 @@ def cmd_stats(cfg: PipelineConfig) -> int:
     path = _out_path(cfg, STATS_FILE)
     write_json(stats._asdict(), path)
     print(f"wrote {path}")
-    return 0
 
 
-def cmd_train(cfg: PipelineConfig) -> int:
+def cmd_train(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = train_path_model(sequences, library, cfg)
     path = _out_path(cfg, MODEL_FILE)
     save_model(model, path)
     print(f"wrote {path} ({len(model.counts)} contexts)")
-    return 0
 
 
-def cmd_losses(cfg: PipelineConfig) -> int:
+def cmd_losses(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     model = load_model(_artifact(cfg, MODEL_FILE), library)
@@ -405,10 +407,9 @@ def cmd_losses(cfg: PipelineConfig) -> int:
     path = _out_path(cfg, LOSSES_FILE)
     write_json(payload, path)
     print(f"wrote {path} ({n} sequences, epoch {cfg.epoch})")
-    return 0
 
 
-def cmd_decode(cfg: PipelineConfig) -> int:
+def cmd_decode(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     model = load_model(_artifact(cfg, MODEL_FILE), library)
     trie = build_prefix_trie(library)
@@ -416,10 +417,9 @@ def cmd_decode(cfg: PipelineConfig) -> int:
     path = _out_path(cfg, DECODED_FILE)
     write_jsonl(decoded_to_rows(library.task_id, results), path)
     print(f"wrote {path} ({len(results)} paths)")
-    return 0
 
 
-def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> int:
+def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE))]
     graph = classify_relations(induce_graph(paths, cfg.prune_threshold, library))
@@ -428,14 +428,13 @@ def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> int:
     dot = export_graph(graph)
     dot_path = _out_path(cfg, GRAPH_DOT_FILE)
     dot_path.write_text(dot, encoding="utf-8")
-    if extra_out:
+    if extra_out is not None:
         Path(extra_out).write_text(dot, encoding="utf-8")
         print(f"wrote {extra_out}")
     print(f"wrote {json_path} and {dot_path} ({len(graph.nodes)} steps, {len(graph.edges)} edges)")
-    return 0
 
 
-def cmd_eval(cfg: PipelineConfig) -> int:
+def cmd_eval(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
@@ -469,7 +468,6 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     text_path = _out_path(cfg, METRICS_TEXT_FILE)
     text_path.write_text(metrics_table(results), encoding="utf-8")
     print(f"wrote {json_path} and {text_path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +522,14 @@ def run_command(argv=None) -> int:
         cfg = build_config(args)
         _require(cfg, "seed")
         if args.command == "graph":
-            return cmd_graph(cfg, args.extra_out)
-        return _STAGES[args.command][0](cfg)
+            cmd_graph(cfg, args.extra_out)
+        else:
+            _STAGES[args.command][0](cfg)
     except (ScriptweaveError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -44,7 +44,7 @@ def constrained_beam_search(
     (descending, ties by sequence). Each path ends when the model emits
     END; its score is the raw accumulated log probability, the negation
     of sequence_nll for that path. Raises NoCompletion when nothing
-    reaches END within cfg.max_steps (unset: twice the library size).
+    reaches END within cfg.max_steps (unset: V, the longest repeat-free path).
 
     Each depth scores every child of the beam from its parent's log-prob
     row and prefix score, skipping used steps and zero-probability moves.
@@ -58,7 +58,7 @@ def constrained_beam_search(
     if trie.library.texts() != model.library.texts():
         raise ValueError("trie and model were built over different libraries")
     n_steps = len(model.library.steps)
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * n_steps
+    max_steps = cfg.max_steps if cfg.max_steps is not None else n_steps
 
     beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []

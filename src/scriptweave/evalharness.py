@@ -6,14 +6,15 @@ prefixes from different videos merge into one example whose gold sets
 union, so a prediction is correct when it matches any observed
 continuation.
 
-Acc@3 is a hit rate: it counts an example as correct when any of the top
-three predictions lands in the gold set. Completion distances are
-unit-cost edit distances over step ids, taken against the nearest gold
-completion and normalized by the longer of the two sequences.
+Acc@3 is a hit rate: 1 for an example when any of the top three
+predictions is gold, and a ranking stops there (TOP_K). Completion
+distances are unit-cost edit distances over step ids, taken against the
+nearest gold completion and normalized by the longer of the two.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Sequence
 
@@ -23,6 +24,8 @@ from .grounding import GroundedSequence
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, check_steps, next_step_distribution  # noqa: F401
 from .record import Record
+
+TOP_K = 3  # the cut of a next-step ranking: Acc@3, Prec@3, Rec@3 and F1@3 read this many
 
 
 class EvalExample(Record):
@@ -73,27 +76,25 @@ def _check_aligned(predictions: Sequence, split: EvalSplit) -> None:
 
 
 def next_step_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -> dict[str, float]:
-    """Macro-averaged Acc@1, Acc@3 (hit rate), Prec@3, Rec@3, F1@3.
+    """Macro-averaged Acc@1, Acc@3 (hit rate), Prec@3, Rec@3, F1@3; 0.0 with no examples.
 
     predictions[i] is a ranked list of step ids for test example i.
     """
     _check_aligned(predictions, split)
-    if not predictions:
-        return {"Acc@1": 0.0, "Acc@3": 0.0, "Prec@3": 0.0, "Rec@3": 0.0, "F1@3": 0.0}
     acc1 = acc3 = prec3 = rec3 = f13 = 0.0
     for ranked, example in zip(predictions, split.test_examples):
         gold = example.gold_next
-        top3 = set(ranked[:3])
-        hits = len(top3 & gold)
+        top = set(ranked[:TOP_K])
+        hits = len(top & gold)
         acc1 += 1.0 if ranked and ranked[0] in gold else 0.0
         acc3 += 1.0 if hits else 0.0
-        precision = hits / 3
+        precision = hits / TOP_K
         recall = hits / len(gold)
         prec3 += precision
         rec3 += recall
         if precision + recall > 0:
             f13 += 2 * precision * recall / (precision + recall)
-    n = len(predictions)
+    n = len(predictions) or 1
     return {
         "Acc@1": acc1 / n,
         "Acc@3": acc3 / n,
@@ -104,10 +105,8 @@ def next_step_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) ->
 
 
 def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -> dict[str, float]:
-    """Exact-match rate and edit distances against the nearest gold completion."""
+    """Exact-match rate and edit distances to the nearest gold completion; 0.0 with no examples."""
     _check_aligned(predictions, split)
-    if not predictions:
-        return {"Acc@1": 0.0, "EditDist": 0.0, "NormalizedEditDist": 0.0}
     acc = dist_sum = norm_sum = 0.0
     for predicted, example in zip(predictions, split.test_examples):
         predicted = list(predicted)
@@ -121,7 +120,7 @@ def completion_metrics(predictions: Sequence[Sequence[int]], split: EvalSplit) -
         acc += 1.0 if best[0] == 0 else 0.0
         dist_sum += best[0]
         norm_sum += best[1]
-    n = len(predictions)
+    n = len(predictions) or 1
     return {"Acc@1": acc / n, "EditDist": dist_sum / n, "NormalizedEditDist": norm_sum / n}
 
 
@@ -144,10 +143,9 @@ def baseline_predict(
 ) -> list[list[int]]:
     """Ranked next-step predictions for the random or linear baseline.
 
-    Each ranking lists every step not in the prefix: a head, then
-    min(3 - len(head), len(rest)) steps drawn uniformly without
-    replacement from the rest, then the rest in id order. The metrics
-    read only the top three. The head is empty for random; for linear it
+    Each ranking is a head, then min(TOP_K - len(head), len(rest)) steps
+    drawn uniformly without replacement from the rest of the steps not in
+    the prefix, cut to TOP_K. The head is empty for random; for linear it
     is _linear_completion's continuation. unused is unused_steps(split,
     library), when the caller already has it.
     """
@@ -157,8 +155,8 @@ def baseline_predict(
         head = _linear_completion(example.prefix, library) if kind == "linear" else []
         taken = set(head)
         rest = [step_id for step_id in remaining if step_id not in taken] if head else remaining
-        drawn = rng.sample(rest, min(max(3 - len(head), 0), len(rest)))
-        predictions.append(head + drawn + [step_id for step_id in rest if step_id not in drawn])
+        drawn = rng.sample(rest, min(max(TOP_K - len(head), 0), len(rest)))
+        predictions.append((head + drawn)[:TOP_K])
     return predictions
 
 
@@ -195,7 +193,7 @@ def _linear_completion(prefix, library) -> list[int]:
 
 
 def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
-    """Rank unused library steps by model probability for each example.
+    """The TOP_K most probable library steps not in each example's prefix, best first.
 
     Ties go to the lowest step id.
     """
@@ -203,22 +201,22 @@ def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
     predictions = []
     for example in split.test_examples:
         check_steps(example.prefix, model.library)
-        prob = model.rows(example.prefix)[0][:n_steps]
+        prob = model.rows(example.prefix)[0]
         used = set(example.prefix)
-        ranked = sorted(range(n_steps), key=lambda step_id: -prob[step_id])
-        predictions.append([step_id for step_id in ranked if step_id not in used])
+        unused = (step_id for step_id in range(n_steps) if step_id not in used)
+        predictions.append(heapq.nsmallest(TOP_K, unused, key=lambda step_id: -prob[step_id]))
     return predictions
 
 
 def greedy_completion(model: PathModel, prefix: Sequence[int], max_steps: int | None) -> list[int]:
     """Most-likely continuation of a prefix until END, banning repeats.
 
-    At most max_steps steps (None: twice the library size). Ties go to END
-    first, then the lowest step id, so the result is deterministic.
+    At most max_steps steps (None: V, which binds no repeat-free path). Ties
+    go to END first, then the lowest step id, so the result is deterministic.
     Returns only the continuation, without the prefix.
     """
     n_steps = len(model.library.steps)
-    cap = max_steps if max_steps is not None else 2 * n_steps
+    cap = max_steps if max_steps is not None else n_steps
     sequence = list(prefix)
     check_steps(sequence, model.library)
     start = len(sequence)
@@ -243,20 +241,17 @@ def model_complete(model: PathModel, split: EvalSplit, max_steps: int | None) ->
 
 
 def metrics_table(rows: dict[str, dict[str, dict[str, float]]]) -> str:
-    """Fixed-width report with one section per metric family."""
-
-    def section(title: str, family: str, columns: list[str]) -> list[str]:
+    """Fixed-width report: a section per metric family (next_step titled "next
+    step") and a column per metric, in the order the first system holds them,
+    with the systems by name in each section."""
+    lines = []
+    for family, columns in next(iter(rows.values()), {}).items():
         widths = [max(len(c) + 2, 10) for c in columns]
         header = f"{'system':<12}" + "".join(f"{c:>{w}}" for c, w in zip(columns, widths))
-        lines = [title, header, "-" * len(header)]
+        lines += ["", family.replace("_", " "), header, "-" * len(header)]
         for system in sorted(rows):
             values = rows[system][family]
             lines.append(
                 f"{system:<12}" + "".join(f"{values[c]:>{w}.3f}" for c, w in zip(columns, widths))
             )
-        return lines
-
-    lines = section("next step", "next_step", ["Acc@1", "Acc@3", "Prec@3", "Rec@3", "F1@3"])
-    lines.append("")
-    lines += section("completion", "completion", ["Acc@1", "EditDist", "NormalizedEditDist"])
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines[1:]) + "\n"

@@ -702,7 +702,7 @@ IN_RANGE = [
 
 class TestSettingRanges:
     def test_cases_cover_every_range_check(self):
-        checked = {name for names, _, _ in PipelineConfig._RANGES for name in names}
+        checked = {name for name, (_, _, rule) in SETTINGS.items() if rule is not None}
         assert {key for key, _, _ in OUT_OF_RANGE} == checked
         assert {key for key, _ in IN_RANGE} == checked
 
@@ -1018,6 +1018,24 @@ class TestErrorReporting:
         assert err["error"] == error
         assert named.format(**fill) in err["message"]
 
+    def test_graph_empty_out_is_refused_like_any_path(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run / "out", out)
+        capsys.readouterr()
+        code = run_command(["graph", "--config", str(finished_run / "settings.cfg"),
+                            "--out-dir", str(out), "--out", ""])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+
+    def test_value_is_shown_in_full_up_to_80_characters(self):
+        shown = "x" * 78  # its repr, quotes included, is 80 characters
+        with pytest.raises(BadConfig) as caught:
+            PipelineConfig(seed=shown)
+        assert str(caught.value) == f"setting 'seed' must be an integer, got {shown!r}"
+        with pytest.raises(BadConfig) as caught:
+            PipelineConfig(seed=shown + "y")
+        assert str(caught.value) == f"setting 'seed' must be an integer, got '{shown[:76]}..."
+
     def test_non_json_docs_line_reports_bad_input(self, workspace, capsys):
         docs = workspace / "docs.jsonl"
         docs.write_text(docs.read_text(encoding="utf-8") + "{oops\n", encoding="utf-8")
@@ -1041,17 +1059,21 @@ class TestErrorReporting:
     def test_deeply_nested_seed_stays_text(self, tmp_path, capsys):
         text = "[" * 100_000
         assert run_command(["stats", "--seed", text, "--out-dir", str(tmp_path)]) == 2
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "BadConfig", "message": f"setting 'seed' must be an integer, got {text!r}"}
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadConfig"
+        assert err["message"].startswith("setting 'seed' must be an integer, got '[[[[")
+        assert len(err["message"]) < 200
 
     def test_deeply_nested_task_stays_text(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(finished_run / "out", out)
         text = "[" * 100_000
         assert run_command(["stats", "--seed", "7", "--out-dir", str(out), "--task", text]) == 2
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "BadInput",
-            "message": f"{out / GROUNDED_LIBRARY_FILE}: library of task 't1', not of task {text!r}"}
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        prefix = f"{out / GROUNDED_LIBRARY_FILE}: library of task 't1', not of task '[[[["
+        assert err["message"].startswith(prefix)
+        assert len(err["message"]) < len(prefix) + 200
 
 
 def _without(value, key):

@@ -186,7 +186,9 @@ def test_greedy_completion_and_ranking_match_reference(case, max_steps):
             model, prefix, max_steps
         )
     split = EvalSplit([], [EvalExample(tuple(prefix), set(), set()) for prefix in prefixes])
-    assert model_predict_next(model, split) == ref_model_predict_next(model, split)
+    # The metrics read a ranking's top three, and model_predict_next stops there.
+    assert model_predict_next(model, split) == [
+        ranked[:3] for ranked in ref_model_predict_next(model, split)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -203,6 +205,26 @@ def test_beam_search_matches_reference(case, beam_width, max_steps):
     except NoCompletion:
         got = NoCompletion
     assert got == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(models(), st.integers(1, 64))
+def test_no_step_budget_of_the_library_size_or_more_binds(case, beam_width):
+    # No decoded path repeats a step, so none is longer than the V library
+    # steps, and unset max_steps decodes as any cap of V or more does.
+    model, prefixes = case
+    n_steps = len(model.library.steps)
+    beams, completions = [], []
+    for max_steps in (None, n_steps, n_steps + 3, 2 * n_steps):
+        try:
+            beam = constrained_beam_search(model, build_prefix_trie(model.library),
+                                           PipelineConfig(beam_width=beam_width, max_steps=max_steps))
+        except NoCompletion:
+            beam = NoCompletion
+        beams.append(beam)
+        completions.append([greedy_completion(model, prefix, max_steps) for prefix in prefixes])
+    assert all(beam == beams[0] for beam in beams)
+    assert all(completion == completions[0] for completion in completions)
 
 
 def test_beam_keeps_items_tied_with_the_worst_finished_path():

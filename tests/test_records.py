@@ -189,8 +189,9 @@ class TestConstructorErrors:
 class TestPipelineConfig:
     def test_every_setting_has_a_default_of_its_type(self):
         assert len(SETTINGS) == 28
-        for name, (kind, default) in SETTINGS.items():
+        for name, (kind, default, rule) in SETTINGS.items():
             assert default is None or isinstance(default, kind), name
+            assert default is None or rule is None or rule[0](default), name
 
     def test_settings_are_stated_only_in_the_table(self):
         """No module but cli binds a setting's name upper-cased, or gives a parameter
@@ -224,7 +225,7 @@ class TestPipelineConfig:
         cfg = PipelineConfig(seed=5, k1=0.5, order=3, beam_width=9)
         assert (cfg.seed, cfg.k1, cfg.order, cfg.beam_width) == (5, 0.5, 3, 9)
         assert cfg.stop_words == SETTINGS["stop_words"][1]
-        assert PipelineConfig()._values() == tuple(default for _, default in SETTINGS.values())
+        assert PipelineConfig()._values() == tuple(default for _, default, _ in SETTINGS.values())
 
     def test_equality_compares_the_settings(self):
         assert PipelineConfig() == PipelineConfig()
