@@ -45,7 +45,8 @@ from .contrastive import (
     sequence_representation,
     step_vectors,
 )
-from .corpus import corpus_statistics, is_finite, load_candidate_docs, load_raw_records, load_tasks
+from .corpus import corpus_statistics, is_finite, load_candidate_docs, load_raw_records
+from .corpus import load_tasks, shown
 from .decoder import (
     build_prefix_trie,
     constrained_beam_search,
@@ -77,7 +78,7 @@ from .grounding import (
 )
 # read_jsonl stays bound here: perfbench/spans.py traces it under this name.
 from .jsonio import read_jsonl, write_json, write_jsonl  # noqa: F401
-from .pathmodel import load_model, save_model, sequence_nll, train_path_model
+from .pathmodel import check_steps, load_model, save_model, sequence_nll, train_path_model
 from .record import Record
 from .similarity import HttpEmbeddingProvider, TfidfSimilarity
 
@@ -129,9 +130,8 @@ SETTINGS = {
     "epoch": (int, 0, NON_NEGATIVE), "num_negatives": (int, 3, NON_NEGATIVE),
     "max_shuffle_attempts": (int, 100, AT_LEAST_ONE),
     "temperature": (float, 0.1, POSITIVE), "alpha": (float, 1.0, NON_NEGATIVE),
-    # decode, losses, eval (max_steps unset: V, the longest repeat-free path) / graph
-    "beam_width": (int, 40, AT_LEAST_ONE), "max_steps": (int, None, NON_NEGATIVE),
-    "prune_threshold": (float, 0.175, UNIT),
+    # decode / graph
+    "beam_width": (int, 40, AT_LEAST_ONE), "prune_threshold": (float, 0.175, UNIT),
     # evaluation: the share of sequences, split by video, that train the evaluated model
     "train_fraction": (float, 0.40, OPEN_UNIT),
 }
@@ -154,12 +154,6 @@ class PipelineConfig(Record):
             setattr(self, name, _checked(name, settings[name]) if name in settings else default)
 
 
-def _shown(value) -> str:
-    """repr(value) for a message: in full up to 80 characters, else its start and '...'."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
-
-
 _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of strings", str: "a string"}
 
 
@@ -175,7 +169,7 @@ def _checked(key: str, value):
     else:
         valid = isinstance(value, (int, float) if kind is float else kind)
     if not valid or isinstance(value, bool):
-        raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {_shown(value)}")
+        raise BadConfig(f"setting {key!r} must be {_EXPECTED[kind]}, got {shown(value)}")
     if kind is float and not is_finite(value):
         raise BadConfig(f"setting {key!r} must be a finite number, got {value!r}")
     value = kind(value) if kind in (float, tuple) else value
@@ -193,7 +187,7 @@ def _parsed(key: str, text: str):
     ('23521', 7, None)
     """
     if key not in SETTINGS:
-        raise BadConfig(f"unknown setting {_shown(key)}")
+        raise BadConfig(f"unknown setting {shown(key)}")
     text = text.strip()
     try:
         value = json.loads(text)
@@ -218,7 +212,7 @@ def read_config_file(path: str | Path) -> dict:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise BadConfig(f"{path}:{lineno}: expected 'key = value', got {_shown(stripped)}")
+            raise BadConfig(f"{path}:{lineno}: expected 'key = value', got {shown(stripped)}")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         if not key:
@@ -257,8 +251,8 @@ def _library(cfg: PipelineConfig, name: str, task_id: str | None) -> corpuslib.S
     """The library artifact name; BadInput when task_id is set and names another task."""
     library = corpuslib.load_library(path := _artifact(cfg, name))
     if task_id is not None and library.task_id != task_id:
-        raise BadInput(f"{path}: library of task {_shown(library.task_id)}, "
-                       f"not of task {_shown(task_id)}")
+        raise BadInput(f"{path}: library of task {shown(library.task_id)}, "
+                       f"not of task {shown(task_id)}")
     return library
 
 
@@ -274,7 +268,7 @@ def _select_task(cfg: PipelineConfig) -> corpuslib.TaskSpec:
     for task in tasks:
         if task.task_id == cfg.task:
             return task
-    raise BadConfig(f"task {_shown(cfg.task)} not found in {cfg.tasks_path}")
+    raise BadConfig(f"task {shown(cfg.task)} not found in {cfg.tasks_path}")
 
 
 def _provider(cfg: PipelineConfig, corpus_texts):
@@ -337,9 +331,9 @@ def cmd_ground(cfg: PipelineConfig) -> None:
 
 
 def cmd_stats(cfg: PipelineConfig) -> None:
-    if cfg.task is not None:
-        _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
-    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
+    library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE), library.task_id)
+    check_steps([step for seq in sequences for step in seq.step_ids], library)
     stats = corpus_statistics(sequences, frequency_threshold=cfg.frequency_threshold)
     path = _out_path(cfg, STATS_FILE)
     write_json(stats._asdict(), path)
@@ -348,7 +342,7 @@ def cmd_stats(cfg: PipelineConfig) -> None:
 
 def cmd_train(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
-    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE), library.task_id)
     model = train_path_model(sequences, library, cfg)
     path = _out_path(cfg, MODEL_FILE)
     save_model(model, path)
@@ -357,14 +351,14 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 def cmd_losses(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
-    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE), library.task_id)
     model = load_model(_artifact(cfg, MODEL_FILE), library)
     vectors = step_vectors(library, _provider(cfg, library.texts()))
     mixture = curriculum_mixture(cfg.epoch)
     rng = random.Random(f"{cfg.seed}:losses")
     valid_set = {tuple(seq.step_ids) for seq in sequences}
 
-    generated = greedy_completion(model, (), cfg.max_steps)
+    generated = greedy_completion(model, ())
     z_generated = sequence_representation(generated, library, vectors) if generated else None
     rows = []
     for seq in sequences:
@@ -412,8 +406,7 @@ def cmd_losses(cfg: PipelineConfig) -> None:
 def cmd_decode(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
     model = load_model(_artifact(cfg, MODEL_FILE), library)
-    trie = build_prefix_trie(library)
-    results = constrained_beam_search(model, trie, cfg)
+    results = constrained_beam_search(model, build_prefix_trie(library), cfg.beam_width)
     path = _out_path(cfg, DECODED_FILE)
     write_jsonl(decoded_to_rows(library.task_id, results), path)
     print(f"wrote {path} ({len(results)} paths)")
@@ -421,7 +414,7 @@ def cmd_decode(cfg: PipelineConfig) -> None:
 
 def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
-    paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE))]
+    paths = [steps for steps, _ in load_decoded(_artifact(cfg, DECODED_FILE), library.task_id)]
     graph = classify_relations(induce_graph(paths, cfg.prune_threshold, library))
     json_path = _out_path(cfg, GRAPH_JSON_FILE)
     save_graph(graph, json_path)
@@ -436,12 +429,12 @@ def cmd_graph(cfg: PipelineConfig, extra_out: str | None) -> None:
 
 def cmd_eval(cfg: PipelineConfig) -> None:
     library = _library(cfg, GROUNDED_LIBRARY_FILE, cfg.task)
-    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE))
+    sequences = load_grounded(_artifact(cfg, GROUNDED_FILE), library.task_id)
     split = build_eval_splits(sequences, train_fraction=cfg.train_fraction, rng_seed=cfg.seed)
     model = train_path_model(split.train, library, cfg)
 
     systems = {
-        "model": (model_predict_next(model, split), model_complete(model, split, cfg.max_steps)),
+        "model": (model_predict_next(model, split), model_complete(model, split)),
     }
     unused = unused_steps(split, library)
     for kind in ("linear", "random"):

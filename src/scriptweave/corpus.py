@@ -380,16 +380,26 @@ def checked_str(value, what: str, optional: bool = False):
     raise ValueError(f"{what} must be a string, got {value!r}")
 
 
-def parse_rows(path: str | Path, parse: Callable, unique: str | None = None) -> list:
-    """parse() each JSONL row; a row it rejects, or one whose attribute named
-    unique repeats an earlier row's, raises BadInput naming path:line."""
+def shown(value) -> str:
+    """repr(value) for a message: in full up to 80 characters, else its start and '...'."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def parse_rows(path: str | Path, parse: Callable, unique: str | None = None,
+               task_id: str | None = None) -> list:
+    """parse() each JSONL row; a row it rejects, repeats an earlier row's unique
+    attribute or is of a task other than task_id raises BadInput naming path:line."""
     rows, seen = [], set()
     for lineno, row in read_jsonl(path):
-        parsed = parse_checked(f"{path}:{lineno}", parse, row)
+        where = f"{path}:{lineno}"
+        parsed = parse_checked(where, parse, row)
+        if task_id is not None and (row_task := row.get("task_id")) != task_id:
+            raise BadInput(f"{where}: row of task {shown(row_task)}, not of task {shown(task_id)}")
         if unique is not None:
             key = getattr(parsed, unique)
             if key in seen:
-                raise BadInput(f"{path}:{lineno}: repeated {unique} {key!r}")
+                raise BadInput(f"{where}: repeated {unique} {key!r}")
             seen.add(key)
         rows.append(parsed)
     return rows

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING
 
 from .corpus import StepLibrary, checked_float, checked_int, parse_rows
 from .errors import EmptyLibrary, NoCompletion
 # next_step_distribution stays bound here: perfbench/spans.py traces it under this name.
 from .pathmodel import PathModel, next_step_distribution  # noqa: F401
-
-if TYPE_CHECKING:
-    from .cli import PipelineConfig
 
 
 class PrefixTrie:
@@ -36,15 +32,16 @@ def build_prefix_trie(library: StepLibrary) -> PrefixTrie:
 
 
 def constrained_beam_search(
-    model: PathModel, trie: PrefixTrie, cfg: PipelineConfig
+    model: PathModel, trie: PrefixTrie, beam_width: int
 ) -> list[tuple[list[int], float]]:
     """Decode the most likely step paths, banning repeated steps.
 
-    Returns up to cfg.beam_width completed paths sorted by log probability
+    Returns up to beam_width completed paths sorted by log probability
     (descending, ties by sequence). Each path ends when the model emits
     END; its score is the raw accumulated log probability, the negation
-    of sequence_nll for that path. Raises NoCompletion when nothing
-    reaches END within cfg.max_steps (unset: V, the longest repeat-free path).
+    of sequence_nll for that path. No path repeats a step, so none is
+    longer than the library's V steps, and the beam is empty by depth V.
+    Raises NoCompletion when no path reaches END.
 
     Each depth scores every child of the beam from its parent's log-prob
     row and prefix score, skipping used steps and zero-probability moves.
@@ -57,12 +54,13 @@ def constrained_beam_search(
     """
     if trie.library.texts() != model.library.texts():
         raise ValueError("trie and model were built over different libraries")
+    if beam_width < 1:
+        raise ValueError(f"beam_width must be at least 1, got {beam_width!r}")
     n_steps = len(model.library.steps)
-    max_steps = cfg.max_steps if cfg.max_steps is not None else n_steps
 
     beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []
-    for depth in range(max_steps + 1):
+    while beam:
         beam.sort()
         rows = [model.rows(seq)[1] for seq, _ in beam]
         for (seq, score), row in zip(beam, rows):
@@ -70,13 +68,11 @@ def constrained_beam_search(
             if end != -math.inf:
                 finished.append((seq, end))
         finished.sort(key=lambda item: (-item[1], item[0]))
-        del finished[cfg.beam_width :]
-        if depth == max_steps:
-            break
+        del finished[beam_width:]
 
-        floor = finished[-1][1] if len(finished) == cfg.beam_width else -math.inf
+        floor = finished[-1][1] if len(finished) == beam_width else -math.inf
         children = heapq.nsmallest(
-            cfg.beam_width,
+            beam_width,
             (
                 (-(score + row[nxt]), rank, nxt)
                 for rank, ((seq, score), row) in enumerate(zip(beam, rows))
@@ -86,11 +82,9 @@ def constrained_beam_search(
             ),
         )
         beam = [(beam[rank][0] + (nxt,), -negated) for negated, rank, nxt in children]
-        if not beam:
-            break
 
     if not finished:
-        raise NoCompletion(f"no path reached END within {max_steps} steps")
+        raise NoCompletion("no path reached END")
     return [(list(seq), logprob) for seq, logprob in finished]
 
 
@@ -102,9 +96,12 @@ def decoded_to_rows(task_id: str, results) -> list[dict]:
 
 
 def _decoded(row) -> tuple[list[int], float]:
-    return [checked_int(s) for s in row["steps"]], checked_float(row["logprob"])
+    steps = [checked_int(s) for s in row["steps"]]
+    if len(set(steps)) != len(steps):
+        raise ValueError("path has repeated step ids")
+    return steps, checked_float(row["logprob"])
 
 
-def load_decoded(path) -> list[tuple[list[int], float]]:
-    """Read decoded.jsonl; a malformed row raises BadInput naming path:line."""
-    return parse_rows(path, _decoded)
+def load_decoded(path, task_id: str) -> list[tuple[list[int], float]]:
+    """Read decoded.jsonl; a malformed row or another task's raises BadInput naming path:line."""
+    return parse_rows(path, _decoded, task_id=task_id)

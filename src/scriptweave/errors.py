@@ -42,7 +42,7 @@ class EmptyLibrary(ScriptweaveError):
 
 
 class NoCompletion(ScriptweaveError):
-    """Beam search found no sequence reaching the end marker in budget."""
+    """Beam search found no sequence reaching the end marker."""
 
 
 class EmptyInput(ScriptweaveError):

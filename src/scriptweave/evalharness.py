@@ -208,20 +208,19 @@ def model_predict_next(model: PathModel, split: EvalSplit) -> list[list[int]]:
     return predictions
 
 
-def greedy_completion(model: PathModel, prefix: Sequence[int], max_steps: int | None) -> list[int]:
+def greedy_completion(model: PathModel, prefix: Sequence[int]) -> list[int]:
     """Most-likely continuation of a prefix until END, banning repeats.
 
-    At most max_steps steps (None: V, which binds no repeat-free path). Ties
-    go to END first, then the lowest step id, so the result is deterministic.
-    Returns only the continuation, without the prefix.
+    It ends at END or once every library step is used. Ties go to END first,
+    then the lowest step id, so the result is deterministic. Returns only the
+    continuation, without the prefix.
     """
     n_steps = len(model.library.steps)
-    cap = max_steps if max_steps is not None else n_steps
     sequence = list(prefix)
     check_steps(sequence, model.library)
     start = len(sequence)
     used = set(sequence)
-    for _ in range(cap):
+    while len(used) < n_steps:
         prob = model.rows(sequence)[0]
         # First maximum over [END, 0..V-1] among unused steps, so ties go to END.
         best, nxt = prob[n_steps], -1
@@ -235,9 +234,9 @@ def greedy_completion(model: PathModel, prefix: Sequence[int], max_steps: int | 
     return sequence[start:]
 
 
-def model_complete(model: PathModel, split: EvalSplit, max_steps: int | None) -> list[list[int]]:
+def model_complete(model: PathModel, split: EvalSplit) -> list[list[int]]:
     """Greedy most-likely continuation for every test example."""
-    return [greedy_completion(model, example.prefix, max_steps) for example in split.test_examples]
+    return [greedy_completion(model, example.prefix) for example in split.test_examples]
 
 
 def metrics_table(rows: dict[str, dict[str, dict[str, float]]]) -> str:

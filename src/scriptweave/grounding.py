@@ -266,6 +266,6 @@ def save_grounded(sequences: Sequence[GroundedSequence], path) -> None:
     write_jsonl([grounded_to_json(seq) for seq in sequences], path)
 
 
-def load_grounded(path) -> list[GroundedSequence]:
-    """A row that is not a grounded sequence, or repeats a video_id, raises BadInput naming path:line."""
-    return parse_rows(path, grounded_from_json, unique="video_id")
+def load_grounded(path, task_id: str) -> list[GroundedSequence]:
+    """A malformed row, a repeated video_id or another task's row raises BadInput naming path:line."""
+    return parse_rows(path, grounded_from_json, unique="video_id", task_id=task_id)

@@ -65,7 +65,8 @@ class EmbedHandler(BaseHTTPRequestHandler):
 def embed_server():
     """The URL of a local embedding service that serves EmbedHandler's vectors."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll, by default 0.5 s away.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     EmbedHandler.mode = "ok"
     EmbedHandler.received = []

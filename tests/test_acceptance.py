@@ -96,7 +96,7 @@ def test_criterion_01_planted_graph_recovered_exactly():
 
     model = train_path_model(sequences, library, PipelineConfig(order=2, smoothing_lambda=0.01))
     trie = build_prefix_trie(library)
-    decoded = constrained_beam_search(model, trie, PipelineConfig(beam_width=40))
+    decoded = constrained_beam_search(model, trie, 40)
 
     decoded_paths = {tuple(steps) for steps, _ in decoded}
     for path in valid_paths:
@@ -316,7 +316,7 @@ def test_criterion_05_decoding_constrained_scored_and_exhaustive():
         n_steps = rng.randint(2, 12)
         model, trie = random_model(n_steps)
         beam_width = rng.randint(1, 40)
-        results = constrained_beam_search(model, trie, PipelineConfig(beam_width=beam_width))
+        results = constrained_beam_search(model, trie, beam_width)
 
         assert len(results) <= beam_width
         step_ids = set(range(n_steps))
@@ -328,7 +328,7 @@ def test_criterion_05_decoding_constrained_scored_and_exhaustive():
     for _ in range(300):
         n_steps = rng.choice([2, 3])
         model, trie = random_model(n_steps)
-        results = constrained_beam_search(model, trie, PipelineConfig(beam_width=64))
+        results = constrained_beam_search(model, trie, 64)
 
         universe = set()
         for length in range(n_steps + 1):

@@ -283,19 +283,6 @@ class TestPipeline:
             assert set(row["methods"]) <= {"resample", "shuffle", "cutswap"}
             assert len(row["methods"]) <= 3
 
-    def test_max_steps_caps_the_generated_path_in_losses(self, workspace, monkeypatch):
-        # At epoch 0 every negative is a resample. A shuffled negative has the
-        # positive's mean embedding, so the generated path would not show.
-        default, capped = workspace / "default", workspace / "capped"
-        for argv in pipeline_argvs(workspace, default)[:4]:  # library .. train
-            assert run_command(argv) == 0, argv[0]
-        shutil.copytree(default, capped)
-        losses = ["losses", "--config", str(workspace / "settings.cfg"), "--epoch", "0"]
-        assert run_command(losses + ["--out-dir", str(default)]) == 0
-        monkeypatch.setenv("SCRIPTWEAVE_MAX_STEPS", "1")
-        assert run_command(losses + ["--out-dir", str(capped)]) == 0
-        assert (capped / LOSSES_FILE).read_bytes() != (default / LOSSES_FILE).read_bytes()
-
     def test_losses_without_negatives_are_positive_zero(self, finished_run, tmp_path,
                                                          monkeypatch):
         out = tmp_path / "out"
@@ -682,7 +669,6 @@ OUT_OF_RANGE = [
     ("alpha", "-1.0", "alpha must be non-negative"),
     ("epoch", "-1", "epoch must be non-negative"),
     ("frequency_threshold", "-3", "frequency_threshold must be non-negative"),
-    ("max_steps", "-1", "max_steps must be non-negative"),
     ("temperature", "0", "temperature must be positive"),
     ("embedding_timeout", "-2.5", "embedding_timeout must be positive"),
     ("train_fraction", "1.0", "train_fraction must be strictly between 0 and 1"),
@@ -694,9 +680,8 @@ IN_RANGE = [
     ("keyword_threshold", 1.0), ("relaxed_keyword_threshold", 0.0), ("k1", 0.0), ("k2", 1.0),
     ("k3", 0.0), ("top_m_docs", 1), ("asr_min_words", 1), ("order", 1), ("beam_width", 1),
     ("max_shuffle_attempts", 1), ("smoothing_lambda", 0.0), ("num_negatives", 0), ("alpha", 0.0),
-    ("epoch", 0), ("max_steps", 0), ("max_steps", None), ("temperature", 1e-9),
-    ("embedding_timeout", 1e-9), ("train_fraction", 1e-9), ("train_fraction", 0.999),
-    ("prune_threshold", 1.0), ("frequency_threshold", 0),
+    ("epoch", 0), ("temperature", 1e-9), ("embedding_timeout", 1e-9), ("train_fraction", 1e-9),
+    ("train_fraction", 0.999), ("prune_threshold", 1.0), ("frequency_threshold", 0),
 ]
 
 
@@ -770,8 +755,8 @@ class TestConfigFileParsing:
 
     def test_null_only_where_the_default_is_none(self, tmp_path):
         path = tmp_path / "s.cfg"
-        path.write_text("max_steps = null\ntask = null\n")
-        assert read_config_file(path) == {"max_steps": None, "task": None}
+        path.write_text("embedding_url = null\ntask = null\n")
+        assert read_config_file(path) == {"embedding_url": None, "task": None}
         for line in ("k1 = null", "stop_words = null", "out_dir = null"):
             path.write_text(line + "\n")
             with pytest.raises(BadConfig, match="got None"):
@@ -1176,6 +1161,15 @@ class TestMalformedArtifacts:
                   ("huge-int-score", "scores", [10**400]),
                   ("bool-dropped", "dropped", False),
               )],
+            *[pytest.param(stage, artifact, lambda row: {**row, "task_id": "other"},
+                           "row of task 'other', not of task 't1'", id=f"{stage}-{name}-other-task")
+              for stage, artifact, name in (
+                  ("stats", GROUNDED_FILE, "grounded"), ("train", GROUNDED_FILE, "grounded"),
+                  ("losses", GROUNDED_FILE, "grounded"), ("eval", GROUNDED_FILE, "grounded"),
+                  ("graph", DECODED_FILE, "decoded"),
+              )],
+            pytest.param("graph", DECODED_FILE, lambda row: {**row, "steps": [0, 0, 0]},
+                         "path has repeated step ids", id="graph-decoded-repeated-step"),
             pytest.param("graph", DECODED_FILE, lambda row: {**row, "steps": [1.5]}, "1.5",
                          id="graph-decoded-fractional-step"),
             pytest.param("graph", DECODED_FILE, lambda row: {**row, "logprob": True}, "True",
@@ -1225,6 +1219,27 @@ class TestMalformedArtifacts:
                                                DECODED_FILE, lambda row: {**row, "steps": steps})
         assert err["error"] == "UnknownStep"
         assert err["message"].startswith(f"step id {steps[0]} not in library")
+
+    @pytest.mark.parametrize("stage", ["stats", "train", "losses", "eval"])
+    def test_grounded_step_outside_library_reports_unknown_step(
+        self, finished_run, tmp_path, capsys, stage
+    ):
+        err, _ = self.run_with_edited_artifact(
+            finished_run, tmp_path, capsys, stage, GROUNDED_FILE,
+            lambda row: {**row, "step_ids": [999, 998], "scores": [0.5, 0.5]})
+        assert err["error"] == "UnknownStep"
+        assert err["message"].startswith("step id 999 not in library")
+
+    def test_model_that_never_ends_a_path_reports_no_completion(
+        self, finished_run, tmp_path, capsys
+    ):
+        # Unsmoothed, and no context counts END: no path can reach it.
+        err, _ = self.run_with_edited_artifact(
+            finished_run, tmp_path, capsys, "decode", MODEL_FILE,
+            lambda data: {"order": 1, "lambda": 0.0, "contexts": [
+                {"ctx": [-1], "counts": {"0": 1}}, {"ctx": [0], "counts": {"1": 1}},
+                {"ctx": [1], "counts": {"0": 1}}]})
+        assert err == {"error": "NoCompletion", "message": "no path reached END"}
 
     @staticmethod
     def run_with_edited_artifact(finished_run, tmp_path, capsys, stage, artifact, edit):

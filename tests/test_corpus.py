@@ -1,5 +1,6 @@
 """Step normalization, deduplication, library construction, and statistics."""
 
+import functools
 import random
 
 import pytest
@@ -612,8 +613,11 @@ class TestFileFormats:
              '{"task_id": "t1", "task_name": "z"}\n', ":3:", "repeated task_id 't1'"),
             (load_raw_records, '{"video_id": "v", "task_id": "t", "kind": "asr", "items": [{"text": "x"}]}\n'
              * 2, ":2:", "repeated video_id 'v'"),
-            (load_grounded, '{"video_id": "v", "task_id": "t", "step_ids": [0], "scores": [0.5],'
-             ' "dropped": 0}\n' * 2, ":2:", "repeated video_id 'v'"),
+            (functools.partial(load_grounded, task_id="t"), '{"video_id": "v", "task_id": "t",'
+             ' "step_ids": [0], "scores": [0.5], "dropped": 0}\n' * 2, ":2:", "repeated video_id 'v'"),
+            (functools.partial(load_grounded, task_id="t"), '{"video_id": "v", "task_id": "u",'
+             ' "step_ids": [0], "scores": [0.5], "dropped": 0}\n', ":1:",
+             "row of task 'u', not of task 't'"),
         ],
     )
     def test_malformed_rows_raise_bad_input_with_line(self, tmp_path, loader, text, where,

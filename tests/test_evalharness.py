@@ -324,12 +324,8 @@ class TestModelSystems:
 
     def test_greedy_completion_follows_the_chain(self):
         model = self.make_model()
-        assert greedy_completion(model, (0,), None) == [1, 2]
-        assert greedy_completion(model, (), None) == [0, 1, 2]
-
-    def test_greedy_completion_max_steps_caps_length(self):
-        model = self.make_model()
-        assert greedy_completion(model, (0,), 1) == [1]
+        assert greedy_completion(model, (0,)) == [1, 2]
+        assert greedy_completion(model, ()) == [0, 1, 2]
 
     def test_every_ranking_stops_at_three_steps(self):
         library = with_docs(make_library(9), [0, 1, 2, 3, 4, 5, 6, 7, 8])
@@ -346,7 +342,7 @@ class TestModelSystems:
         split = split_of(
             EvalExample((0,), {1}, {(1, 2)}), EvalExample((0, 1), {2}, {(2,)})
         )
-        assert model_complete(model, split, None) == [[1, 2], [2]]
+        assert model_complete(model, split) == [[1, 2], [2]]
 
 
 class TestMetricsTable:

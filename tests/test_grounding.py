@@ -466,7 +466,7 @@ class TestGroundedJson:
         ]
         path = tmp_path / "grounded.jsonl"
         save_grounded(sequences, path)
-        loaded = load_grounded(path)
+        loaded = load_grounded(path, "t1")
         assert loaded == sequences
 
     def test_json_fields(self):

@@ -80,13 +80,10 @@ def ref_sequence_nll(model, step_ids):
     return nll
 
 
-def ref_beam_search(model, cfg):
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(model.library.steps)
+def ref_beam_search(model, beam_width):
     active = [((), 0.0)]
     finished = []
-    for depth in range(max_steps + 1):
-        if not active:
-            break
+    while active:
         expanded = []
         for seq, logprob in active:
             dist = ref_next_step_distribution(model, seq)
@@ -96,21 +93,20 @@ def ref_beam_search(model, cfg):
                     continue
                 if nxt == END:
                     finished.append((seq, logprob + math.log(prob)))
-                elif nxt not in seq and depth < max_steps:
+                elif nxt not in seq:
                     expanded.append((seq + (nxt,), logprob + math.log(prob)))
         expanded.sort(key=lambda item: (-item[1], item[0]))
-        active = expanded[: cfg.beam_width]
+        active = expanded[:beam_width]
     if not finished:
         raise NoCompletion("no path reached END")
     finished.sort(key=lambda item: (-item[1], item[0]))
-    return [(list(seq), logprob) for seq, logprob in finished[: cfg.beam_width]]
+    return [(list(seq), logprob) for seq, logprob in finished[:beam_width]]
 
 
-def ref_greedy_completion(model, prefix=(), max_steps=None):
-    cap = max_steps if max_steps is not None else 2 * len(model.library.steps)
+def ref_greedy_completion(model, prefix=()):
     sequence = list(prefix)
     completion = []
-    for _ in range(cap):
+    while True:
         dist = ref_next_step_distribution(model, sequence)
         choices = [(s, p) for s, p in dist.items() if s == END or s not in sequence]
         choices.sort(key=lambda item: (-item[1], item[0]))
@@ -161,9 +157,6 @@ def models(draw):
     return model, [list(p) for p in paths] + prefixes
 
 
-max_steps_values = st.one_of(st.none(), st.integers(0, 12))
-
-
 @settings(max_examples=200, deadline=None)
 @given(models())
 def test_next_step_distribution_and_nll_match_reference(case):
@@ -178,13 +171,11 @@ def test_next_step_distribution_and_nll_match_reference(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(models(), max_steps_values)
-def test_greedy_completion_and_ranking_match_reference(case, max_steps):
+@given(models())
+def test_greedy_completion_and_ranking_match_reference(case):
     model, prefixes = case
     for prefix in prefixes:
-        assert greedy_completion(model, prefix, max_steps) == ref_greedy_completion(
-            model, prefix, max_steps
-        )
+        assert greedy_completion(model, prefix) == ref_greedy_completion(model, prefix)
     split = EvalSplit([], [EvalExample(tuple(prefix), set(), set()) for prefix in prefixes])
     # The metrics read a ranking's top three, and model_predict_next stops there.
     assert model_predict_next(model, split) == [
@@ -192,39 +183,18 @@ def test_greedy_completion_and_ranking_match_reference(case, max_steps):
 
 
 @settings(max_examples=120, deadline=None)
-@given(models(), st.integers(1, 64), max_steps_values)
-def test_beam_search_matches_reference(case, beam_width, max_steps):
+@given(models(), st.integers(1, 64))
+def test_beam_search_matches_reference(case, beam_width):
     model, _ = case
-    cfg = PipelineConfig(beam_width=beam_width, max_steps=max_steps)
     try:
-        expected = ref_beam_search(model, cfg)
+        expected = ref_beam_search(model, beam_width)
     except NoCompletion:
         expected = NoCompletion
     try:
-        got = constrained_beam_search(model, build_prefix_trie(model.library), cfg)
+        got = constrained_beam_search(model, build_prefix_trie(model.library), beam_width)
     except NoCompletion:
         got = NoCompletion
     assert got == expected
-
-
-@settings(max_examples=120, deadline=None)
-@given(models(), st.integers(1, 64))
-def test_no_step_budget_of_the_library_size_or_more_binds(case, beam_width):
-    # No decoded path repeats a step, so none is longer than the V library
-    # steps, and unset max_steps decodes as any cap of V or more does.
-    model, prefixes = case
-    n_steps = len(model.library.steps)
-    beams, completions = [], []
-    for max_steps in (None, n_steps, n_steps + 3, 2 * n_steps):
-        try:
-            beam = constrained_beam_search(model, build_prefix_trie(model.library),
-                                           PipelineConfig(beam_width=beam_width, max_steps=max_steps))
-        except NoCompletion:
-            beam = NoCompletion
-        beams.append(beam)
-        completions.append([greedy_completion(model, prefix, max_steps) for prefix in prefixes])
-    assert all(beam == beams[0] for beam in beams)
-    assert all(completion == completions[0] for completion in completions)
 
 
 def test_beam_keeps_items_tied_with_the_worst_finished_path():
@@ -235,10 +205,9 @@ def test_beam_keeps_items_tied_with_the_worst_finished_path():
     paths = [[0], [0, 1, 4], [2], [2, 3]]
     unsmoothed = PipelineConfig(order=1, smoothing_lambda=0.0)
     model = train_path_model([Seq(p) for p in paths], make_library(5), unsmoothed)
-    cfg = PipelineConfig(beam_width=2)
-    got = constrained_beam_search(model, build_prefix_trie(model.library), cfg)
+    got = constrained_beam_search(model, build_prefix_trie(model.library), 2)
     score = math.log(0.5) + math.log(0.5)
-    assert got == ref_beam_search(model, cfg) == [([0], score), ([0, 1, 4], score)]
+    assert got == ref_beam_search(model, 2) == [([0], score), ([0, 1, 4], score)]
 
 
 def test_log_rows_are_math_log_over_a_sweep_of_counts():

@@ -188,7 +188,7 @@ class TestConstructorErrors:
 
 class TestPipelineConfig:
     def test_every_setting_has_a_default_of_its_type(self):
-        assert len(SETTINGS) == 28
+        assert len(SETTINGS) == 27
         for name, (kind, default, rule) in SETTINGS.items():
             assert default is None or isinstance(default, kind), name
             assert default is None or rule is None or rule[0](default), name
@@ -232,7 +232,7 @@ class TestPipelineConfig:
         assert PipelineConfig(seed=1) != PipelineConfig(seed=2)
 
     @pytest.mark.parametrize("key, value", [
-        ("order", 2.0), ("beam_width", True), ("max_steps", float("inf")), ("k1", "0.5"),
+        ("order", 2.0), ("beam_width", True), ("epoch", float("inf")), ("k1", "0.5"),
         ("k1", None), ("stop_words", "subscribe"), ("seed", "7"),
     ])
     def test_ill_typed_value_is_bad_config_naming_its_key(self, key, value):
